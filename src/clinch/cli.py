@@ -12,10 +12,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import checks, engine, stream, two_player, vcg
-from .core import AuctionError, Outcome, dumps, instance_from_json
+from . import engine, stream, two_player
+from .core import AuctionError, FloatMemo, Outcome, dumps, instance_from_json
 
 
 def _read_input(path: str) -> str:
@@ -85,10 +83,11 @@ def _cmd_trace(args) -> int:
         print(_table(rows, ("event", "price", "players", "units", "S_after")))
         print(f"outcome x={list(tr.outcome.allocation)} pi={list(tr.outcome.payments)}")
         return 0
+    memo = FloatMemo()  # exited bidders keep B0 and most deltas are 0.0
     for ev in tr.events:
-        print(dumps(_event_doc(ev)))
+        print(dumps(_event_doc(ev), memo))
     print(dumps({"kind": "final", "x": list(tr.outcome.allocation),
-                 "pi": list(tr.outcome.payments), "notes": list(tr.notes)}))
+                 "pi": list(tr.outcome.payments), "notes": list(tr.notes)}, memo))
     return 0
 
 
@@ -125,6 +124,8 @@ def _cmd_n2(args) -> int:
 
 
 def _cmd_vcg(args) -> int:
+    from . import vcg  # imports numpy, which only check and vcg need
+
     inst = instance_from_json(_read_input(args.input), require_supply=True)
     if args.table is not None:
         table = json.loads(_read_input(args.table))
@@ -165,6 +166,10 @@ _CHECK_DEFAULTS = {
 
 
 def _cmd_check(args) -> int:
+    import numpy as np  # only check and vcg need numpy
+
+    from . import checks
+
     opts = dict(_CHECK_DEFAULTS[args.property])
     opts.update(_parse_corpus(args.corpus))
     count = int(opts.get("count", 100))

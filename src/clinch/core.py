@@ -7,9 +7,11 @@ quantities is relative with an absolute floor (see `close`).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 REL_TOL = 1e-9
@@ -331,7 +333,40 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _encode(obj) -> str:
+_MEMO_CAP = 1 << 14
+_FLOATS = frozenset((float,))
+_INTS = frozenset((int,))
+_ONES = itertools.repeat(1.0)
+
+
+class FloatMemo(dict):
+    """float -> text cache shared by the `dumps` calls of one output stream.
+
+    A miss formats the value and stores it; the memo is emptied once it
+    holds `_MEMO_CAP` entries, so its memory stays bounded.  0.0 and -0.0
+    are one dict key, so `_encode` routes lists holding a signed zero past it.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        text = self[x] = _fmt_float(x)
+        return text
+
+
+def _encode(obj, memo: FloatMemo) -> str:
+    if isinstance(obj, (list, tuple)):
+        # Exact types, so bool and numpy scalars take the per-value path; the
+        # memo serves a float list only if its zeros are all +0.0.
+        kinds = set(map(type, obj))
+        if kinds == _FLOATS and (0.0 not in obj
+                                 or min(map(math.copysign, _ONES, obj)) > 0.0):
+            return "[" + ", ".join(map(memo.__getitem__, obj)) + "]"
+        if kinds == _INTS:
+            return "[" + ", ".join(map(str, obj)) + "]"
+        return "[" + ", ".join(_encode(v, memo) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -339,20 +374,23 @@ def _encode(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if obj is None:
         return "null"
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
+        items = (f"{_quote(str(k))}: {_encode(v, memo)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps(obj) -> str:
-    """Serialize nested dicts/lists/numbers with lossless float formatting."""
-    return _encode(obj)
+def dumps(obj, memo: FloatMemo | None = None) -> str:
+    """Serialize nested dicts/lists/numbers with lossless float formatting.
+
+    Pass one `FloatMemo` to every call that writes the same stream: values
+    repeated across calls are then formatted once.  Output is the same with
+    or without it.
+    """
+    return _encode(obj, FloatMemo() if memo is None else memo)
 
 
 def instance_to_json(inst: ValidatedInstance | AuctionInstance) -> str:

@@ -186,10 +186,12 @@ class _Run:
 
         After each removal the remaining active players clinch
         delta_i = [S - sum_{j != i} B_j / v]^+ and pay v * delta_i.  The
-        positive part is additionally capped at B_i / v: the cap never binds
-        when every player holds money (the supply inequality guarantees the
-        uncapped amount is affordable) and keeps degenerate zero-budget
-        instances budget-feasible instead of overdrawing.
+        positive part is additionally capped at max(B_i, 0) / v: the cap never
+        binds when every player holds money (the supply inequality guarantees
+        the uncapped amount is affordable) and keeps degenerate zero-budget
+        instances budget-feasible instead of overdrawing.  A budget that
+        drifted a hair below zero caps at zero; a negative cap would give a
+        negative delta and grow the remnant supply.
         """
         self.advance_to(v)
         exiting = sorted(i for i in self.active if self.values[i] == v)
@@ -207,7 +209,7 @@ class _Run:
                     if d <= 0.0:
                         continue
                     uncapped = d
-                    cap = self.B[i] / v
+                    cap = max(self.B[i], 0.0) / v
                     if d > cap:
                         if uncapped - cap > tol / max(v, 1.0) and min(self.B[k] for k in rem) > tol:
                             raise NegativeBudget(

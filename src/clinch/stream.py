@@ -46,7 +46,6 @@ class SupplyStream:
         self.config = config
         self.supply = 0.0
         self.outcome = Outcome.zero(self.inst.n)
-        self.log: list[DeltaOutcome] = []
 
     def _tol(self, *xs: float) -> float:
         scale = max(1.0, *map(abs, xs)) if xs else 1.0
@@ -77,9 +76,7 @@ class SupplyStream:
             if b < a - self._tol(a, b):
                 raise MonotonicityViolation(
                     f"utility of player {i} fell from {a} to {b} as supply grew")
-        out = DeltaOutcome(dx, dp, new_supply)
-        self.log.append(out)
-        return out
+        return DeltaOutcome(dx, dp, new_supply)
 
     def _delta(self, old: tuple, new: tuple) -> tuple[float, ...]:
         out = []

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clinch
 from clinch.cli import main
 from clinch.core import dumps
 
@@ -55,6 +60,24 @@ class TestSolve:
         bad.write_text('{"values": [1, -2], "budgets": [1, 1], "supply": 1}')
         code, _, err = run(capsys, "solve", "--input", str(bad))
         assert code == 2 and "negative" in err
+
+
+class TestImports:
+    def test_solve_never_loads_numpy(self, showcase_file):
+        script = "\n".join([
+            "import sys",
+            "import clinch.cli",
+            "assert 'numpy' not in sys.modules, 'import clinch.cli loaded numpy'",
+            "assert clinch.cli.main(['solve', '--input', sys.argv[1]]) == 0",
+            "assert 'numpy' not in sys.modules, 'clinch solve loaded numpy'",
+        ])
+        src = str(Path(clinch.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script, showcase_file],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTrace:

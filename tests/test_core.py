@@ -1,14 +1,18 @@
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from clinch import cli, core, engine
 from clinch.core import (
     AuctionInstance,
     BudgetExceeded,
     EmptyInstance,
+    FloatMemo,
     LengthMismatch,
     NegativeEntry,
     NonFinite,
@@ -111,6 +115,102 @@ class TestJson:
     def test_non_finite_rendering(self):
         assert dumps(math.inf) == "Infinity"
         assert json.loads(dumps([math.inf]))[0] == math.inf
+
+
+def _reference_float(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(float(x), ".17g")
+
+
+def _reference_encode(obj) -> str:
+    """The per-value encoder that `dumps` must match byte for byte."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _reference_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}: {_reference_encode(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_reference_encode(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+# all-float lists reach the memoised path; mixed zeros in one list must not
+_float_lists = st.one_of(st.lists(_floats), st.lists(_floats).map(tuple),
+                         st.lists(st.sampled_from([0.0, -0.0, 1.5]), min_size=1))
+_leaves = st.one_of(_floats, st.integers(), st.booleans(), st.none(), st.text(),
+                    st.floats().map(np.float64), _float_lists,
+                    st.lists(st.integers()), st.lists(st.booleans()))
+_docs = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.one_of(st.text(), st.integers()),
+                                           kids, max_size=4)),
+    max_leaves=12)
+_SHARED_MEMO = FloatMemo()  # outlives every example, as one output stream's would
+
+
+class TestEncoder:
+    @given(st.lists(_docs, min_size=1, max_size=6))
+    def test_matches_reference_with_a_reused_memo(self, docs):
+        for doc in docs:
+            want = _reference_encode(doc)
+            assert dumps(doc, _SHARED_MEMO) == want
+            assert dumps(doc) == want
+
+    def test_signed_zeros_and_specials_in_one_list(self):
+        memo = FloatMemo()
+        for doc in ([0.0, -0.0], [-0.0, 0.0, 1.0], (0.0, 2.0), [-0.0],
+                    [math.nan, math.inf, -math.inf, 0.0], [-1.5, 0.0], [-1.5, 2.0]):
+            assert dumps(doc, memo) == _reference_encode(doc)
+        assert dumps([0.0, -0.0], memo) == "[0, -0]"
+
+    def test_bools_and_numpy_scalars_keep_their_rendering(self):
+        assert dumps([True, False]) == "[true, false]"
+        assert dumps([1, True]) == "[1, true]"
+        assert dumps([np.float64(0.5), 0.25]) == "[0.5, 0.25]"
+        with pytest.raises(TypeError):
+            dumps([np.int64(3)])
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(core, "_MEMO_CAP", 8)
+        memo = FloatMemo()
+        xs = [i / 7 for i in range(1, 50)]
+        assert dumps(xs, memo) == _reference_encode(xs)
+        assert len(memo) <= 8
+        assert dumps(xs[::-1], memo) == _reference_encode(xs[::-1])
+
+    def test_trace_lines_match_reference_encoding(self, tmp_path, capsys):
+        rnd = random.Random(64)
+        n = 64
+        inst = validate_instance(values=[round(rnd.uniform(0.01, 10), 2) for _ in range(n)],
+                                 budgets=[rnd.uniform(0.5, 2) for _ in range(n)],
+                                 supply=n / 100)
+        path = tmp_path / "n64.json"
+        path.write_text(instance_to_json(inst))
+        assert cli.main(["trace", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        tr = engine.trace(inst)
+        want = [_reference_encode(cli._event_doc(ev)) for ev in tr.events]
+        want.append(_reference_encode({"kind": "final", "x": list(tr.outcome.allocation),
+                                       "pi": list(tr.outcome.payments),
+                                       "notes": list(tr.notes)}))
+        assert len(tr.events) > 30
+        assert lines == want
 
 
 class TestPriceState:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -70,6 +71,20 @@ class TestSolve:
         out = solve(validate_instance(values=[0, 2], budgets=[3, 2], supply=1))
         assert out.allocation == (0.0, 0.0)
         assert out.payments == (0.0, 0.0)
+
+    def test_wide_budget_spread_neither_oversells_nor_overspends(self):
+        # a clincher budget drifting a hair below zero used to give a negative
+        # exit cap, a negative delta, and a remnant supply that grew
+        rng = np.random.default_rng(9)
+        n = 96
+        values = rng.uniform(0.05, 5, n)
+        budgets = np.exp(rng.uniform(0, math.log(500), n))
+        supply = rng.uniform(100, 5000)
+        inst = validate_instance(values=values, budgets=budgets, supply=supply)
+        out = solve(inst)
+        assert sum(out.allocation) <= supply * (1 + 1e-9)
+        for pay, b in zip(out.payments, inst.budgets):
+            assert pay <= b * (1 + 1e-9)
 
     def test_zero_budgets_stay_feasible(self):
         inst = validate_instance(values=[1, 2], budgets=[0, 0], supply=1)

@@ -19,7 +19,9 @@ class TestInit:
         assert sup.supply == 0.0
         assert sup.outcome.allocation == (0.0, 0.0)
         assert sup.utility_snapshot() == (0.0, 0.0)
-        assert sup.log == []
+        # nothing was sold before the first increment: its cumulative supply
+        # is the increment itself
+        assert sup.on_supply(0.5).supply == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInstance):
@@ -58,6 +60,16 @@ class TestIncrements:
         assert d.delta_x == (0.0, 1.0)
         assert d.delta_pay == (0.0, 1.0)
 
+    def test_wide_budget_stream_stays_monotone(self):
+        # the exit-cap drift behind the oversell also made later solves sell
+        # less, which the stream reported as a MonotonicityViolation
+        rng = np.random.default_rng(1)
+        n = 64
+        sup = init_stream(np.round(rng.uniform(0.01, 10, n), 2),
+                          rng.uniform(1, 500, n))
+        while sup.supply <= 2300:
+            sup.on_supply(math.exp(rng.uniform(math.log(0.01), math.log(10))))
+
     def test_non_positive_increment_rejected(self):
         sup = init_stream([1, 2], [3, 2])
         with pytest.raises(NonPositiveIncrement):
@@ -67,10 +79,9 @@ class TestIncrements:
 
     def test_log_records_every_delta(self):
         sup = init_stream([1, 2], [3, 2])
-        sup.on_supply(0.5)
-        sup.on_supply(0.25)
-        assert len(sup.log) == 2
-        assert sup.log[0].supply == 0.5
+        deltas = [sup.on_supply(0.5), sup.on_supply(0.25)]
+        assert [d.supply for d in deltas] == [0.5, 0.75]
+        assert sup.supply == 0.75
 
 
 class TestUtilities:
