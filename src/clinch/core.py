@@ -109,16 +109,16 @@ class AuctionInstance:
 class ValidatedInstance:
     """An instance that passed validation, plus derived ordering metadata.
 
-    `value_order` lists player ids by ascending (value, index).  `tie_groups`
-    lists the groups of two or more players whose values are bit-equal, in
-    ascending value order; near-equal but distinct doubles are *not* grouped.
+    `value_order` lists player ids by ascending (value, index), the order in
+    which they exit; `budget_order` lists them by descending budget, then
+    ascending index, the order in which they join the clinching set.
     """
 
     values: tuple[float, ...]
     budgets: tuple[float, ...]
     supply: float
     value_order: tuple[int, ...]
-    tie_groups: tuple[tuple[int, ...], ...]
+    budget_order: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -161,19 +161,11 @@ def validate_instance(
         raise LengthMismatch(f"{len(vals)} values vs {len(buds)} budgets")
     (sup,) = _as_floats("supply", [supply])
 
-    order = tuple(sorted(range(len(vals)), key=lambda i: (vals[i], i)))
-    groups: list[tuple[int, ...]] = []
-    run = [order[0]]
-    for i in order[1:]:
-        if vals[i] == vals[run[-1]]:
-            run.append(i)
-        else:
-            if len(run) > 1:
-                groups.append(tuple(run))
-            run = [i]
-    if len(run) > 1:
-        groups.append(tuple(run))
-    return ValidatedInstance(vals, buds, sup, order, tuple(groups))
+    # sorted is stable, also with reverse=True: equal keys keep index order
+    ids = range(len(vals))
+    return ValidatedInstance(vals, buds, sup,
+                             tuple(sorted(ids, key=vals.__getitem__)),
+                             tuple(sorted(ids, key=buds.__getitem__, reverse=True)))
 
 
 @dataclass(frozen=True)

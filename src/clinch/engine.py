@@ -1,17 +1,32 @@
 """Exact event-driven solver for the adaptive clinching auction.
 
 The ascending-price process is piecewise closed-form: between events the
-remnant supply decays like p^-k (k = number of clinching players), budgets
-of clinchers fall accordingly and nobody else moves.  Events are of two
-kinds: a player *enters* the clinching set (his remaining budget meets the
-falling maximum budget), or the price reaches some player's value and he
-*exits*, triggering a discrete clinch by everyone still active.  The loop
-therefore touches at most 2n event prices, each computed in closed form.
+remnant supply decays like p^-k (k = number of clinching players), the
+clinchers' budgets fall accordingly and nobody else moves.  Events are of
+two kinds: a player *enters* the clinching set (the falling maximum budget
+meets its own), or the price reaches some player's value and it *exits*,
+triggering a discrete clinch by everyone still active.  The loop therefore
+touches at most 2n event prices, each computed in closed form.
+
+Every active player holds min(B_i(0), B*), where B* is the largest
+remaining budget, and clinchers are exactly the active players at B*.
+So a run keeps only a compressed state: the price p, the remnant supply S,
+B* and the clincher count k, one cumulative gain G shared by all clinchers
+(clincher i holds G - off_i units, the offset taken when it joins), the
+budget sum of the active non-clinchers ("outsiders"), a pointer into
+`value_order` for exits and two pointers into `budget_order`: the largest
+active outsider and the smallest one.  Players join the clinching set from
+the top of the budget order and leave it only by exiting, so each event
+costs O(1) amortised and a solve is O(n log n), dominated by the two sorts
+in `validate_instance`.  A trace writes the k clinchers' entries back to
+the allocation and budget lists before each snapshot.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import sub
 
 from .core import (
     ABS_FLOOR,
@@ -55,71 +70,47 @@ def _money_tol(cfg: EngineConfig, *xs: float) -> float:
     return max(ABS_FLOOR, cfg.rel_tol * scale)
 
 
-def _segment_advance(p: float, p_new: float, x: list, B: list, S: float,
-                     clinching: list) -> float:
-    """Advance the closed form from price p to p_new with a fixed clinching set.
+def _segment(p: float, p_new: float, S: float, k: int) -> tuple[float, float, float]:
+    """Closed form of a clinching segment from price p to p_new with k clinchers.
 
-    Mutates x and B for the clinching players and returns the new supply.
-    With k clinchers the supply is S * (p/p')^k; the freed supply is split
-    equally and each clincher's budget falls by p*S/(k-1) * (1 - (p/p')^(k-1))
-    (by p*S*log(p'/p) for k = 1).
+    Returns the remnant supply S * (p/p')^k, each clincher's gain (the freed
+    supply split equally) and each clincher's budget change
+    p*S/(k-1) * ((p/p')^(k-1) - 1), which is p*S*log(p/p') for k = 1.
     """
-    k = len(clinching)
-    if k == 0 or p_new == p:
-        return S
     if p <= 0.0:
         raise ZeroPrice("cannot evolve a clinching segment from price 0")
     ratio = p / p_new
     if k == 1:
-        i = clinching[0]
         s_new = S * ratio
-        x[i] += S - s_new
-        B[i] += p * S * (math.log(p) - math.log(p_new))
-        return s_new
+        return s_new, S - s_new, p * S * (math.log(p) - math.log(p_new))
     s_new = S * ratio**k
-    gain = (S - s_new) / k
-    db = p * S / (k - 1) * (ratio ** (k - 1) - 1.0)
+    return s_new, (S - s_new) / k, p * S / (k - 1) * (ratio ** (k - 1) - 1.0)
+
+
+def _segment_advance(p: float, p_new: float, x: list, B: list, S: float,
+                     clinching) -> float:
+    """Apply the segment closed form to a snapshot's x and B; return the new supply."""
+    k = len(clinching)
+    if k == 0 or p_new == p:
+        return S
+    s_new, gain, db = _segment(p, p_new, S, k)
     for i in clinching:
         x[i] += gain
         B[i] += db
     return s_new
 
 
-def _entry_price(p: float, B: list, S: float, active: set, clinching: set) -> float:
-    """Price of the next clinch-entry event, or +inf if none will occur.
-
-    With an empty clinching set this is where the remnant supply first equals
-    the aggregate price-deflated budgets of everyone but the richest active
-    player; afterwards it is where the falling clincher budget meets the
-    largest outsider budget, inverted through the segment closed form.
-    """
-    outsiders = active - clinching
-    if not outsiders:
-        return math.inf
-    if not clinching:
-        rest = sum(B[i] for i in active) - max(B[i] for i in active)
-        if rest <= 0.0 or S <= 0.0:
-            return math.inf
-        pe = rest / S
-        return pe if pe > p else p
-    if p <= 0.0:
-        raise ZeroPrice("clinching segment cannot start at price 0")
-    m = max(B[i] for i in outsiders)
-    bstar = max(B[i] for i in clinching)
-    k = len(clinching)
-    if k == 1:
-        log_pe = math.log(p) + (bstar - m) / (p * S)
-        if log_pe > 700.0:
-            return math.inf
-        return math.exp(log_pe)
-    denom = p * S - (k - 1) * (bstar - m)
-    if denom <= 0.0:
-        return math.inf
-    return p * (p * S / denom) ** (1.0 / (k - 1))
-
-
 class _Run:
-    """Mutable state of one auction execution."""
+    """Compressed state of one auction execution (see the module docstring).
+
+    `x` and `B` hold every player's allocation and remaining budget, except
+    that the clinchers' entries are stale until `sync` writes them back.
+    """
+
+    __slots__ = ("values", "b0", "cfg", "record", "n", "x", "B", "S", "p", "active",
+                 "clinching", "G", "bstar", "n_out", "rest", "rest_err",
+                 "value_order", "budget_order", "low", "top", "bottom", "b0_max",
+                 "events", "notes")
 
     def __init__(self, inst: ValidatedInstance, cfg: EngineConfig, record: bool):
         self.values = inst.values
@@ -132,108 +123,271 @@ class _Run:
         self.S = float(inst.supply)
         self.p = 0.0
         self.active = {i for i in range(self.n) if inst.values[i] > 0.0}
-        self.clinching: set[int] = set()
+        # clincher -> offset: clincher i holds G - off_i units and B* money
+        self.clinching: dict[int, float] = {}
+        self.G = 0.0
+        self.bstar = 0.0
+        # outsiders (active non-clinchers) hold their initial budgets
+        self.n_out = len(self.active)
+        self.rest = math.fsum(map(self.b0.__getitem__, self.active))
+        self.rest_err = 0.0
+        self.value_order = inst.value_order
+        self.budget_order = inst.budget_order
+        self.low = 0            # value_order index of the next exit
+        self.top = 0            # budget_order index of the largest outsider
+        self.bottom = self.n - 1  # budget_order index of the smallest outsider
+        self.b0_max = max(self.b0)
         self.events: list[Event] = []
         self.notes: list[str] = []
 
+    @classmethod
+    def resume(cls, state: PriceState, cfg: EngineConfig) -> "_Run":
+        """A run restarted from a snapshot; its budgets stand in for B_i(0)."""
+        run = cls(validate_instance(values=state.values, budgets=state.budgets,
+                                    supply=state.supply), cfg, record=False)
+        run.p = state.price
+        run.x = list(state.allocation)
+        run.active = set(state.active)
+        run.clinching = {i: -state.allocation[i] for i in state.clinching}
+        run.bstar = max((state.budgets[i] for i in state.clinching), default=0.0)
+        outsiders = state.active - state.clinching
+        run.n_out = len(outsiders)
+        run.rest = math.fsum(state.budgets[i] for i in outsiders)
+        return run
+
+    def sync(self) -> None:
+        """Write the clinchers' allocations and budgets back to x and B."""
+        x, B, G, bstar = self.x, self.B, self.G, self.bstar
+        for i, off in self.clinching.items():
+            x[i] = G - off
+            B[i] = bstar
+
     def snap(self, price: float) -> PriceState:
+        self.sync()
         return PriceState(price, tuple(self.x), tuple(self.B), self.S,
                           frozenset(self.active), frozenset(self.clinching),
                           self.values)
 
+    def top_outsider(self) -> int:
+        """The active outsider with the largest budget; needs n_out > 0."""
+        order, active, clinching = self.budget_order, self.active, self.clinching
+        i = order[self.top]
+        while i not in active or i in clinching:
+            self.top += 1
+            i = order[self.top]
+        return i
+
+    def min_budget(self) -> float:
+        """Smallest remaining budget among the active players."""
+        low = self.bstar if self.clinching else math.inf
+        if self.n_out:
+            order, active, clinching = self.budget_order, self.active, self.clinching
+            while order[self.bottom] not in active or order[self.bottom] in clinching:
+                self.bottom -= 1
+            low = min(low, self.b0[order[self.bottom]])
+        return low
+
+    def lowest_value(self) -> float:
+        """The smallest value among the active players; needs them non-empty."""
+        order = self.value_order
+        while order[self.low] not in self.active:
+            self.low += 1
+        return self.values[order[self.low]]
+
+    def drop_outsider(self, i: int) -> None:
+        """Take outsider i off `rest`, carrying the rounding error of each
+        subtraction in `rest_err` (Neumaier), so that rest + rest_err stays
+        within a few ulps of the exact sum however many players left."""
+        self.n_out -= 1
+        if not self.n_out:
+            self.rest = self.rest_err = 0.0
+            return
+        s, b = self.rest, self.b0[i]
+        t = s - b
+        self.rest_err += (s - t) - b if abs(s) >= b else s - (t + b)
+        self.rest = t
+
+    def outsider_budget(self) -> float:
+        """Total budget of the active outsiders."""
+        return self.rest + self.rest_err
+
+    def join(self, i: int, units: float) -> None:
+        """Outsider i starts clinching, with `units` clinched on joining."""
+        self.drop_outsider(i)
+        self.clinching[i] = self.G - (self.x[i] + units)
+
+    def enter(self) -> list[int]:
+        """Every outsider within tolerance of the largest active budget joins."""
+        m = self.b0[self.top_outsider()]
+        if not self.clinching:
+            self.bstar = m
+        bstar = max(self.bstar, m)
+        joined = []
+        while self.n_out:
+            i = self.top_outsider()
+            if not close(self.b0[i], bstar, self.cfg.rel_tol):
+                break
+            self.join(i, 0.0)
+            joined.append(i)
+        return joined
+
     def advance_to(self, p_new: float) -> None:
-        self.S = _segment_advance(self.p, p_new, self.x, self.B, self.S,
-                                  sorted(self.clinching))
+        if self.clinching and p_new != self.p:
+            self.S, gain, db = _segment(self.p, p_new, self.S, len(self.clinching))
+            self.G += gain
+            self.bstar += db
         self.p = p_new
 
-    def rederive_clinching(self) -> None:
-        """Re-derive clinching membership from the budget profile.
+    def entry_price(self) -> float:
+        """Price of the next clinch-entry event, or +inf if none will occur.
 
-        While the set is non-empty it is exactly the active players holding
-        the maximum remaining budget; after an exit this also absorbs any
-        entry that coincides with the exit price, so no zero-width entry
-        event is ever emitted.
+        With no clinchers this is where the remnant supply first equals the
+        price-deflated budgets of every active player but the richest; after
+        that it is where the falling B* meets the largest outsider budget m,
+        inverted through the segment closed form.
         """
-        if not self.active:
-            self.clinching = set()
-            return
-        bstar = max(self.B[i] for i in self.active)
-        if self.clinching:
-            self.clinching = {i for i in self.active
-                              if close(self.B[i], bstar, self.cfg.rel_tol)}
-        elif self.S > self.cfg.supply_floor:
-            pe = _entry_price(self.p, self.B, self.S, self.active, self.clinching)
-            if pe <= self.p + _money_tol(self.cfg, self.p):
-                self.clinching = {i for i in self.active
-                                  if close(self.B[i], bstar, self.cfg.rel_tol)}
+        if not self.n_out:
+            return math.inf
+        m = self.b0[self.top_outsider()]
+        k, p, S = len(self.clinching), self.p, self.S
+        if not k:
+            rest = self.outsider_budget() - m if self.n_out > 1 else 0.0
+            if rest <= 0.0 or S <= 0.0:
+                return math.inf
+            pe = rest / S
+            return pe if pe > p else p
+        if p <= 0.0:
+            raise ZeroPrice("clinching segment cannot start at price 0")
+        if k == 1:
+            log_pe = math.log(p) + (self.bstar - m) / (p * S)
+            if log_pe > 700.0:
+                return math.inf
+            return math.exp(log_pe)
+        denom = p * S - (k - 1) * (self.bstar - m)
+        if denom <= 0.0:
+            return math.inf
+        return p * (p * S / denom) ** (1.0 / (k - 1))
+
+    def next_event(self) -> tuple[float, str]:
+        """Price and kind of the next event; an entry within tolerance of the
+        next exit is absorbed by the exit's discrete clinch."""
+        v_next = self.lowest_value()
+        pe = self.entry_price()
+        if pe < v_next and not close(pe, v_next, self.cfg.rel_tol):
+            return pe, EVENT_CLINCH_ENTRY
+        return v_next, EVENT_EXIT
+
+    def settle(self) -> None:
+        """Absorb an entry that coincides with the exit price just processed.
+
+        While there are clinchers, every outsider within tolerance of the
+        largest budget joins; with none, the richest outsiders join if the
+        entry price is already reached.  So no zero-width entry event is
+        ever emitted.
+        """
+        if self.n_out and (self.clinching or (
+                self.S > self.cfg.supply_floor
+                and self.entry_price() <= self.p + _money_tol(self.cfg, self.p))):
+            self.enter()
 
     def do_entry(self, pe: float) -> None:
         self.advance_to(pe)
         before = self.snap(pe) if self.record else None
-        bstar = max(self.B[i] for i in self.active)
-        joiners = {i for i in self.active - self.clinching
-                   if close(self.B[i], bstar, self.cfg.rel_tol)}
+        joiners = self.enter()
         if not joiners:
             raise NumericalDivergence(f"entry event at p={pe} added no players")
-        self.clinching |= joiners
         if self.record:
             zero = (0.0,) * self.n
             self.events.append(Event(EVENT_CLINCH_ENTRY, pe, tuple(sorted(joiners)),
                                      zero, zero, before, self.snap(pe)))
 
-    def do_exit(self, v: float) -> None:
-        """Remove every active player with value v, lowest index first.
+    def remove(self, j: int) -> None:
+        self.active.remove(j)
+        if j in self.clinching:
+            self.x[j] = self.G - self.clinching.pop(j)
+            self.B[j] = self.bstar
+        else:
+            self.drop_outsider(j)
 
-        After each removal the remaining active players clinch
-        delta_i = [S - sum_{j != i} B_j / v]^+ and pay v * delta_i.  The
-        positive part is additionally capped at max(B_i, 0) / v: the cap never
-        binds when every player holds money (the supply inequality guarantees
-        the uncapped amount is affordable) and keeps degenerate zero-budget
-        instances budget-feasible instead of overdrawing.  A budget that
-        drifted a hair below zero caps at zero; a negative cap would give a
-        negative delta and grow the remnant supply.
+    def clinch(self, v: float, tol: float, dx: list | None = None,
+               dpay: list | None = None) -> None:
+        """The discrete clinch of the active players after one exit at v.
+
+        A holder of remaining budget b clinches delta = [S - (tot - b)/v]^+,
+        tot being the active players' total budget, and pays v * delta, so
+        every receiver is left with T = tot - S*v: the clinchers receive
+        (B* - T)/v through G, and outsiders join from the top of the budget
+        order while their delta is positive.  Delta is capped at
+        max(b, 0)/v, which binds only when T < 0: the cap keeps degenerate
+        zero-budget instances budget-feasible, and binding beyond tolerance
+        while every player holds money raises NegativeBudget.  When
+        recording, each receiver's units and payment go to dx and dpay.
         """
+        S, bstar, k = self.S, self.bstar, len(self.clinching)
+        tot = k * bstar + self.outsider_budget()
+        over = S - tot / v  # -T/v: how far the cap binds, for every receiver alike
+        if over > tol / max(v, 1.0) and self.min_budget() > tol:
+            raise NegativeBudget(f"exit at {v} would overdraw every budget by {S * v - tot}")
+        sold, left = 0.0, None
+        if k:
+            d = min(S - (tot - bstar) / v, max(bstar, 0.0) / v)
+            if d > 0.0:
+                self.G += d
+                sold, left = k * d, bstar - v * d
+                if dx is not None:
+                    for i in self.clinching:
+                        dx[i], dpay[i] = d, v * d
+        while self.n_out:
+            i = self.top_outsider()
+            b = self.b0[i]
+            d = min(S - (tot - b) / v, b / v)
+            if d <= 0.0:
+                break
+            self.join(i, d)
+            sold += d
+            if left is None:
+                left = b - v * d
+            if dx is not None:
+                dx[i], dpay[i] = d, v * d
+        if left is not None:
+            if left < 0.0:
+                if left < -tol:
+                    raise NegativeBudget(f"budget {left} after exit at {v}")
+                left = 0.0
+            self.bstar = left
+            if over <= 0.0:
+                # Uncapped, every receiver now meets its supply inequality
+                # with equality: S = (tot - B*)/v.  Taking S from there keeps
+                # it consistent with B*; subtracting the receivers' units
+                # one by one leaves dust that a tied exit multiplies by k.
+                self.S = min(S, ((len(self.clinching) - 1) * left
+                                 + self.outsider_budget()) / v)
+                return
+        self.S = max(S - sold, 0.0)
+
+    def do_exit(self, v: float) -> None:
+        """Remove every active player with value v, lowest index first; after
+        each removal the remaining active players clinch (see `clinch`)."""
         self.advance_to(v)
-        exiting = sorted(i for i in self.active if self.values[i] == v)
-        tol = _money_tol(self.cfg, v, max(self.b0, default=1.0))
+        order, exiting = self.value_order, []
+        pos = self.low
+        while pos < self.n and self.values[order[pos]] == v:
+            if order[pos] in self.active:
+                exiting.append(order[pos])
+            pos += 1
+        tol = _money_tol(self.cfg, v, self.b0_max)
+        dx = dpay = before = None
         for idx, j in enumerate(exiting):
-            before = self.snap(v) if self.record else None
-            self.active.remove(j)
-            self.clinching.discard(j)
-            delta = [0.0] * self.n
-            if self.active:
-                rem = sorted(self.active)
-                tot = sum(self.B[i] for i in rem)
-                for i in rem:
-                    d = self.S - (tot - self.B[i]) / v
-                    if d <= 0.0:
-                        continue
-                    uncapped = d
-                    cap = max(self.B[i], 0.0) / v
-                    if d > cap:
-                        if uncapped - cap > tol / max(v, 1.0) and min(self.B[k] for k in rem) > tol:
-                            raise NegativeBudget(
-                                f"player {i} would pay {v * uncapped} with budget {self.B[i]}")
-                        d = cap
-                    delta[i] = d
-                for i in rem:
-                    if delta[i] > 0.0:
-                        self.x[i] += delta[i]
-                        self.B[i] -= v * delta[i]
-                        if self.B[i] < 0.0:
-                            if self.B[i] < -tol:
-                                raise NegativeBudget(
-                                    f"player {i} budget {self.B[i]} after exit at {v}")
-                            self.B[i] = 0.0
-                        self.clinching.add(i)
-                self.S -= sum(delta)
-                if self.S < 0.0:
-                    self.S = 0.0
-            if idx == len(exiting) - 1:
-                self.rederive_clinching()
             if self.record:
-                pays = tuple(v * d for d in delta)
-                self.events.append(Event(EVENT_EXIT, v, (j,), tuple(delta), pays,
+                before = self.snap(v)
+                dx, dpay = [0.0] * self.n, [0.0] * self.n
+            self.remove(j)
+            if self.active:
+                self.clinch(v, tol, dx, dpay)
+            if idx == len(exiting) - 1:
+                self.settle()
+            if self.record:
+                self.events.append(Event(EVENT_EXIT, v, (j,), tuple(dx), tuple(dpay),
                                          before, self.snap(v)))
 
     def run(self) -> None:
@@ -242,20 +396,20 @@ class _Run:
             rounds += 1
             if rounds > 4 * self.n + 16:
                 raise NumericalDivergence("event loop failed to terminate")
-            v_next = min(self.values[i] for i in self.active)
-            pe = _entry_price(self.p, self.B, self.S, self.active, self.clinching)
-            if pe < v_next and not close(pe, v_next, self.cfg.rel_tol):
-                if pe <= self.p:
-                    raise NumericalDivergence(
-                        f"entry price {pe} does not advance past {self.p}")
-                self.do_entry(pe)
+            price, kind = self.next_event()
+            if kind == EVENT_EXIT:
+                self.do_exit(price)
+            elif price <= self.p:
+                raise NumericalDivergence(
+                    f"entry price {price} does not advance past {self.p}")
             else:
-                self.do_exit(v_next)
+                self.do_entry(price)
         if not self.active and self.S > self.cfg.supply_floor:
             self.notes.append(f"unsold supply discarded: {self.S:.17g}")
 
     def outcome(self) -> Outcome:
-        pays = tuple(max(self.b0[i] - self.B[i], 0.0) for i in range(self.n))
+        self.sync()
+        pays = tuple(map(max, map(sub, self.b0, self.B), repeat(0.0)))
         return Outcome(tuple(self.x), pays)
 
 
@@ -305,12 +459,7 @@ def next_event_price(state: PriceState, config: EngineConfig = DEFAULT_CONFIG
     """
     if not state.active:
         raise NoActivePlayers("no active players at this state")
-    v_next = min(state.values[i] for i in state.active)
-    pe = _entry_price(state.price, list(state.budgets), state.supply,
-                      set(state.active), set(state.clinching))
-    if pe < v_next and not close(pe, v_next, config.rel_tol):
-        return pe, EVENT_CLINCH_ENTRY
-    return v_next, EVENT_EXIT
+    return _Run.resume(state, config).next_event()
 
 
 def evolve(state: PriceState, p_new: float, config: EngineConfig = DEFAULT_CONFIG
@@ -327,8 +476,7 @@ def evolve(state: PriceState, p_new: float, config: EngineConfig = DEFAULT_CONFI
         if p_new > v_next + _money_tol(config, v_next):
             raise EventSkipped(f"price {p_new} passes the exit at {v_next}")
     x, B = list(state.allocation), list(state.budgets)
-    S = _segment_advance(state.price, p_new, x, B, state.supply,
-                         sorted(state.clinching))
+    S = _segment_advance(state.price, p_new, x, B, state.supply, state.clinching)
     out = PriceState(p_new, tuple(x), tuple(B), S, state.active,
                      state.clinching, state.values)
     outsiders = state.active - state.clinching
@@ -344,18 +492,12 @@ def evolve(state: PriceState, p_new: float, config: EngineConfig = DEFAULT_CONFI
 
 def exit_step(state: PriceState, value: float,
               config: EngineConfig = DEFAULT_CONFIG) -> PriceState:
-    """Apply the discrete exit procedure at `value` to a left-limit snapshot."""
-    if not any(state.values[i] == value for i in state.active):
-        raise ValueError(f"no active player has value {value}")
-    inst = ValidatedInstance(state.values, state.budgets,
-                             state.supply + sum(state.allocation), (), ())
-    run = _Run(inst, config, record=False)
-    run.x = list(state.allocation)
-    run.B = list(state.budgets)
-    run.S = state.supply
+    """Apply the discrete exit procedure at `value` to a left-limit snapshot,
+    where `value` is the lowest value among the active players."""
+    run = _Run.resume(state, config)
     run.p = value
-    run.active = set(state.active)
-    run.clinching = set(state.clinching)
+    if not state.active or run.lowest_value() != value:
+        raise ValueError(f"{value} is not the lowest value of an active player")
     run.do_exit(value)
     return run.snap(value)
 

@@ -5,9 +5,12 @@ Because the auction outcome is componentwise monotone in the total supply
 fly: every arriving increment is handled by re-solving at the new
 cumulative supply and shipping the differences.  A full recompute per
 increment is deliberate; the outcome is a non-separable function of total
-supply, a solve is cheap, and monotonicity guarantees the deltas are
-valid.  Monotonicity failing beyond tolerance would falsify the theory
-the stream rests on, so it is raised as a hard error rather than clamped.
+supply, and monotonicity guarantees the deltas are valid.  A re-solve is
+cheap: the stream validates its bidders once and hands the cached value
+and budget orders to every solve, so an increment skips both sorts and
+costs O(n), the engine's amortised O(1) per event.  Monotonicity failing
+beyond tolerance would falsify the theory the stream rests on, so it is
+raised as a hard error rather than clamped.
 """
 from __future__ import annotations
 
@@ -64,7 +67,7 @@ class SupplyStream:
             raise NonPositiveIncrement(f"supply increment must be positive, got {ds}")
         new_supply = self.supply + ds
         inst = ValidatedInstance(self.inst.values, self.inst.budgets, new_supply,
-                                 self.inst.value_order, self.inst.tie_groups)
+                                 self.inst.value_order, self.inst.budget_order)
         new = engine.solve(inst, self.config)
         old_u = self.utility_snapshot()
         dx = self._delta(self.outcome.allocation, new.allocation)

@@ -35,14 +35,18 @@ class TestValidation:
         inst = validate_instance(values=[9, 10, 11, 5.7], budgets=[3, 2, 1, 0.5],
                                  supply=1)
         assert inst.n == 4
-        assert inst.tie_groups == ()
         assert inst.value_order == (3, 0, 1, 2)
+        assert inst.budget_order == (0, 1, 2, 3)
 
     def test_repeated_values_grouped_by_bit_equality(self):
-        inst = validate_instance(values=[1, 1], budgets=[1, 1], supply=1)
-        assert inst.tie_groups == ((0, 1),)
-        near = validate_instance(values=[1, 1 + 1e-15], budgets=[1, 1], supply=1)
-        assert near.tie_groups == ()
+        # bit-equal values and budgets are ordered by index; near-ties are distinct
+        inst = validate_instance(values=[1, 1, 0.5], budgets=[1, 2, 2], supply=1)
+        assert inst.value_order == (2, 0, 1)
+        assert inst.budget_order == (1, 2, 0)
+        near = validate_instance(values=[1 + 1e-15, 1], budgets=[1, 1 + 1e-15],
+                                 supply=1)
+        assert near.value_order == (1, 0)
+        assert near.budget_order == (1, 0)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntry):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,12 @@ class TestExitStep:
         after = exit_step(st, 1.0)
         assert after.allocation == (0.0, 0.0)
         assert after.active == frozenset({1})
+
+    def test_only_the_lowest_active_value_exits(self):
+        inst = validate_instance(values=[1, 2], budgets=[3, 2], supply=1)
+        st = replace(initial_state(inst), price=1.0)
+        with pytest.raises(ValueError):
+            exit_step(st, 2.0)
 
     def test_tied_pair_removed_sequentially(self):
         tied = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
