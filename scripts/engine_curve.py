@@ -1,19 +1,19 @@
 """Engine cost as a curve over the number of bidders.
 
-    PYTHONPATH=src python scripts/engine_curve.py [--seed 1] [--sizes 2 8 ...]
+    PYTHONPATH=src python scripts/engine_curve.py
 
-For each n, draws three instances shaped like perfbench's large workloads
-(values on a cent grid in [0.01, 10], budgets uniform in [0.5, 2], supply
-n/100 times a factor in [0.75, 1.25]) from `random.Random(f"curve-{seed}-{n}")`,
-so a seed gives the same instances on every checkout.  Each instance is
-solved and traced `reps` times, and one JSON line per n reports the median
-`engine.solve` and `engine.trace` wall time in milliseconds.  Only
+For each n in SIZES, draws three instances shaped like perfbench's large
+workloads (values on a cent grid in [0.01, 10], budgets uniform in [0.5, 2],
+supply n/100 times a factor in [0.75, 1.25]) from
+`random.Random(f"curve-{SEED}-{n}")`, so every checkout gets the same
+instances.  Each instance is solved and traced `reps` times, and one JSON
+line per n reports the median `engine.solve` and `engine.trace` wall time in
+milliseconds.  Only
 `validate_instance`, `solve` and `trace` are called, so the script measures
 any version of the package on the path.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import statistics
@@ -23,11 +23,12 @@ from clinch import engine
 from clinch.core import validate_instance
 
 SIZES = (2, 4, 8, 32, 128, 512, 1024, 2048)
+SEED = 1
 INSTANCES = 3
 
 
-def instances(seed: int, n: int) -> list:
-    rng = random.Random(f"curve-{seed}-{n}")
+def instances(n: int) -> list:
+    rng = random.Random(f"curve-{SEED}-{n}")
     return [validate_instance(values=[rng.randint(1, 1000) / 100 for _ in range(n)],
                               budgets=[rng.uniform(0.5, 2.0) for _ in range(n)],
                               supply=n / 100 * rng.uniform(0.75, 1.25))
@@ -45,12 +46,8 @@ def median_ms(fn, insts: list, reps: int) -> float:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--sizes", type=int, nargs="+", default=SIZES)
-    args = ap.parse_args()
-    for n in args.sizes:
-        insts = instances(args.seed, n)
+    for n in SIZES:
+        insts = instances(n)
         reps = max(3, 4096 // n)
         print(json.dumps({"n": n, "instances": len(insts), "reps": reps,
                           "solve_ms": round(median_ms(engine.solve, insts, reps), 4),

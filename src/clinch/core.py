@@ -160,12 +160,16 @@ def validate_instance(
     if len(vals) != len(buds):
         raise LengthMismatch(f"{len(vals)} values vs {len(buds)} budgets")
     (sup,) = _as_floats("supply", [supply])
+    return ValidatedInstance(vals, buds, sup, *player_orders(vals, buds))
 
+
+def player_orders(values: tuple[float, ...], budgets: tuple[float, ...]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`value_order` and `budget_order` (see ValidatedInstance)."""
     # sorted is stable, also with reverse=True: equal keys keep index order
-    ids = range(len(vals))
-    return ValidatedInstance(vals, buds, sup,
-                             tuple(sorted(ids, key=vals.__getitem__)),
-                             tuple(sorted(ids, key=buds.__getitem__, reverse=True)))
+    ids = range(len(values))
+    return (tuple(sorted(ids, key=values.__getitem__)),
+            tuple(sorted(ids, key=budgets.__getitem__, reverse=True)))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .core import (
     ValidatedInstance,
     ZeroPrice,
     close,
+    player_orders,
     validate_instance,
 )
 
@@ -142,9 +143,14 @@ class _Run:
 
     @classmethod
     def resume(cls, state: PriceState, cfg: EngineConfig) -> "_Run":
-        """A run restarted from a snapshot; its budgets stand in for B_i(0)."""
-        run = cls(validate_instance(values=state.values, budgets=state.budgets,
-                                    supply=state.supply), cfg, record=False)
+        """A run restarted from a snapshot; its budgets stand in for B_i(0).
+
+        The snapshot is engine output, not user input: its budgets may have
+        drifted below zero on degenerate instances, so they are not validated.
+        """
+        inst = ValidatedInstance(state.values, state.budgets, state.supply,
+                                 *player_orders(state.values, state.budgets))
+        run = cls(inst, cfg, record=False)
         run.p = state.price
         run.x = list(state.allocation)
         run.active = set(state.active)

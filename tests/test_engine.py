@@ -225,6 +225,21 @@ class TestExitStep:
         with pytest.raises(ValueError):
             exit_step(st, 2.0)
 
+    def test_snapshots_with_negative_budgets_are_accepted(self):
+        # a zero-budget clincher's segment drives budgets below zero (see the
+        # zero-budget FOUND in CHANGES.md); snapshots of such a trace are
+        # engine output and must not be re-validated as user input
+        tr = trace(validate_instance(values=[3, 2, 1], budgets=[0, 1, 0], supply=2))
+        assert tr.events[1].before.budgets == (-0.5, -0.5, 0.0)
+        assert next_event_price(state_at(tr, 1.5)) == (2.0, EVENT_EXIT)
+        after = exit_step(tr.events[1].before, 2.0)
+        assert after.allocation == (0.375, 1.375, 0.0)
+        assert after.budgets == (-0.5, -0.5, 0.0)
+        assert after.supply == 0.25
+        assert after.clinching == after.active == frozenset({0})
+        for ev in tr.events:
+            assert exit_step(ev.before, ev.price) == ev.after
+
     def test_tied_pair_removed_sequentially(self):
         tied = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
         out_tied = solve(tied)

@@ -135,3 +135,16 @@ def test_traces_match_the_reference_loop(name):
         scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         assert np.max(np.abs(a - b) / scale, initial=0.0) <= RTOL
         assert new.outcome == engine.solve(inst)
+
+
+def test_outsider_budget_sum_does_not_drift():
+    """`_Run` takes each outsider's budget off a running sum as it joins or
+    exits.  Plain subtraction drifts with n: on the benchmark-shaped draws it
+    moves outcomes 2.1e-12 from the reference loop, against 7.5e-14 with the
+    compensated sum."""
+    worst = 0.0
+    for inst in CORPORA["benchmark-shaped"]():
+        new, old = engine.solve(inst), reference_engine.solve(inst)
+        worst = max(worst, _deviation(new.allocation + new.payments,
+                                      old.allocation + old.payments))
+    assert worst <= 1e-12, f"largest deviation {worst:.3g}"
