@@ -13,7 +13,16 @@ from .core import (
     utility,
     validate_instance,
 )
-from .engine import EngineConfig, evolve, exit_step, next_event_price, solve, trace, wishful_allocation
+from .engine import (
+    EngineConfig,
+    evolve,
+    exit_step,
+    next_event_price,
+    run_trace,
+    solve,
+    trace,
+    wishful_allocation,
+)
 
 __all__ = [
     "AuctionError",
@@ -27,6 +36,7 @@ __all__ = [
     "evolve",
     "exit_step",
     "next_event_price",
+    "run_trace",
     "solve",
     "trace",
     "utility",

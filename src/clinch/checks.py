@@ -502,12 +502,13 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
     first_exit_at = {}
     for ev in tr.events:
         first_exit_at.setdefault((ev.kind, ev.price), ev)
+    lefts = [engine.left_limit(tr, k, config) for k in range(len(tr.events))]
     states = [(engine.initial_state(inst), "gt", "initial", False)]
-    for ev in tr.events:
+    for ev, left in zip(tr.events, lefts):
         rule = "ge" if ev.kind == EVENT_EXIT else "gt"
         if ev.kind == EVENT_EXIT and first_exit_at[(ev.kind, ev.price)] is not ev:
             rule = "skip"
-        states.append((ev.before, rule, f"before {ev.kind}@{ev.price:g}", True))
+        states.append((left, rule, f"before {ev.kind}@{ev.price:g}", True))
         full_after = ev.after.active == frozenset(
             i for i in range(inst.n) if tr.values[i] > ev.price)
         states.append((ev.after, "gt" if full_after else "skip",
@@ -520,7 +521,7 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
     segs = []
     prev = states[0][0]
     for ev in tr.events:
-        segs.append((prev, ev.before.price))
+        segs.append((prev, ev.price))
         prev = ev.after
     for start, p_end in segs:
         if p_end <= start.price or not start.clinching:
@@ -556,9 +557,9 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
         prev_state = st
 
     # wishful allocation: continuity across exits, decrement = integral law
-    for ev in tr.events:
+    for ev, left in zip(tr.events, lefts):
         if ev.kind == EVENT_EXIT and ev.price > 0.0:
-            pre, post = wishful_allocation(ev.before), wishful_allocation(ev.after)
+            pre, post = wishful_allocation(left), wishful_allocation(ev.after)
             for i in range(inst.n):
                 if abs(pre[i] - post[i]) > money_tol(pre[i]):
                     bad.append(f"exit@{ev.price:g}: wishful allocation of {i} jumped "

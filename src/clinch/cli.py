@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import engine, stream, two_player
-from .core import AuctionError, FloatMemo, Outcome, dumps, instance_from_json
+from .core import AuctionError, FloatMemo, Outcome, RowText, dumps, instance_from_json
 
 
 def _read_input(path: str) -> str:
@@ -50,16 +50,17 @@ def _emit_outcome(out: Outcome, args, extra: dict | None = None) -> None:
     print(dumps(doc))
 
 
-def _event_doc(ev) -> dict:
+def _event_doc(ev, dx=list, dpi=list, x=list, B=list) -> dict:
+    """One `trace` line; each float row goes through its own row encoder."""
     return {
         "kind": ev.kind,
         "price": ev.price,
         "players": list(ev.players),
-        "delta_x": list(ev.delta_x),
-        "delta_pi": list(ev.delta_pay),
+        "delta_x": dx(ev.delta_x),
+        "delta_pi": dpi(ev.delta_pay),
         "state_after": {
-            "x": list(ev.after.allocation),
-            "B": list(ev.after.budgets),
+            "x": x(ev.after.allocation),
+            "B": B(ev.after.budgets),
             "S": ev.after.supply,
             "A": sorted(ev.after.active),
             "C": sorted(ev.after.clinching),
@@ -75,19 +76,25 @@ def _cmd_solve(args) -> int:
 
 def _cmd_trace(args) -> int:
     inst = instance_from_json(_read_input(args.input))
-    tr = engine.trace(inst, _config(args))
-    if args.format == "table":
+    if args.format == "table":  # the column widths need every row
+        tr = engine.trace(inst, _config(args))
         rows = [(ev.kind, format(ev.price, ".12g"), ",".join(map(str, ev.players)),
                  format(sum(ev.delta_x), ".12g"), format(ev.after.supply, ".12g"))
                 for ev in tr.events]
         print(_table(rows, ("event", "price", "players", "units", "S_after")))
         print(f"outcome x={list(tr.outcome.allocation)} pi={list(tr.outcome.payments)}")
         return 0
+    # Each line is printed as its event happens.  Between events only a few
+    # entries of each row change, so each row keeps its entries' text.
     memo = FloatMemo()  # exited bidders keep B0 and most deltas are 0.0
-    for ev in tr.events:
-        print(dumps(_event_doc(ev), memo))
-    print(dumps({"kind": "final", "x": list(tr.outcome.allocation),
-                 "pi": list(tr.outcome.payments), "notes": list(tr.notes)}, memo))
+    rows = [RowText(memo) for _ in range(4)]
+
+    def emit(ev) -> None:
+        print(dumps(_event_doc(ev, *rows), memo))
+
+    _, outcome, notes = engine.run_trace(inst, emit, _config(args))
+    print(dumps({"kind": "final", "x": list(outcome.allocation),
+                 "pi": list(outcome.payments), "notes": list(notes)}, memo))
     return 0
 
 

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from operator import is_not
 from typing import Sequence
 
 REL_TOL = 1e-9
@@ -231,10 +232,13 @@ EVENT_EXIT = "exit"
 
 @dataclass(frozen=True)
 class Event:
-    """One event of the ascending process.
+    """One event of the ascending process and the state right after it.
 
     Exits at a repeated value are recorded as one event per removed player,
     all sharing the price; entries list every player that joined together.
+    The state just before the event is not stored: it is the previous
+    event's `after` (or the initial state) evolved to `price`, which
+    `engine.left_limit` rebuilds.
     """
 
     kind: str
@@ -242,7 +246,6 @@ class Event:
     players: tuple[int, ...]
     delta_x: tuple[float, ...]
     delta_pay: tuple[float, ...]
-    before: PriceState
     after: PriceState
 
 
@@ -352,6 +355,49 @@ class FloatMemo(dict):
         return text
 
 
+class RawJSON(str):
+    """Text that is already JSON; `_encode` writes it verbatim."""
+
+    __slots__ = ()
+
+
+class RowText:
+    """Encoder of one float row that changes in few entries from line to line.
+
+    It keeps the text of every entry of the last row it encoded.  An entry
+    that is the same object as in that row keeps its text; the others are
+    formatted again, through the memo except exact zeros, so that -0.0
+    stays distinct.  The result equals `_encode(list(row), memo)` for every
+    all-float row.  Rows must be immutable (tuples): the last row is held
+    to compare against.
+    """
+
+    __slots__ = ("memo", "row", "texts", "text")
+
+    def __init__(self, memo: FloatMemo):
+        self.memo = memo
+        self.row: tuple = ()
+        self.texts: list[str] = []
+        self.text = RawJSON("[]")
+
+    def __call__(self, row: tuple[float, ...]) -> RawJSON:
+        prev = self.row
+        if row is prev:
+            return self.text
+        if len(row) == len(prev):
+            changed = itertools.compress(itertools.count(), map(is_not, prev, row))
+        else:
+            self.texts = [""] * len(row)
+            changed = range(len(row))
+        texts, memo = self.texts, self.memo
+        for i in changed:
+            x = row[i]
+            texts[i] = memo[x] if x else _fmt_float(x)
+        self.row = row
+        self.text = RawJSON("[" + ", ".join(texts) + "]")
+        return self.text
+
+
 def _encode(obj, memo: FloatMemo) -> str:
     if isinstance(obj, (list, tuple)):
         # Exact types, so bool and numpy scalars take the per-value path; the
@@ -370,7 +416,7 @@ def _encode(obj, memo: FloatMemo) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        return _quote(obj)
+        return obj if type(obj) is RawJSON else _quote(obj)
     if obj is None:
         return "null"
     if isinstance(obj, dict):

@@ -18,8 +18,11 @@ budget sum of the active non-clinchers ("outsiders"), a pointer into
 active outsider and the smallest one.  Players join the clinching set from
 the top of the budget order and leave it only by exiting, so each event
 costs O(1) amortised and a solve is O(n log n), dominated by the two sorts
-in `validate_instance`.  A trace writes the k clinchers' entries back to
-the allocation and budget lists before each snapshot.
+in `validate_instance`.  A traced run hands each event to a callback as it
+happens, with one snapshot of the state after it; to take that snapshot it
+writes the k clinchers' entries back to the allocation and budget lists.
+Nothing is retained, so `run_trace` needs O(n) memory however many events
+there are; `trace` collects the events.
 """
 from __future__ import annotations
 
@@ -50,11 +53,10 @@ from .core import (
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Numerical knobs: relative tolerance, supply-exhaustion floor, tracing."""
+    """Numerical knobs: relative tolerance and supply-exhaustion floor."""
 
     rel_tol: float = 1e-9
     supply_floor: float = 1e-12
-    record_states: bool = True
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -106,19 +108,23 @@ class _Run:
 
     `x` and `B` hold every player's allocation and remaining budget, except
     that the clinchers' entries are stale until `sync` writes them back.
+    `emit`, when set, receives each `Event` as it happens; a solve leaves it
+    None and takes no snapshots.
     """
 
-    __slots__ = ("values", "b0", "cfg", "record", "n", "x", "B", "S", "p", "active",
-                 "clinching", "G", "bstar", "n_out", "rest", "rest_err",
+    __slots__ = ("values", "b0", "cfg", "emit", "zeros", "n", "x", "B", "S", "p",
+                 "active", "clinching", "G", "bstar", "n_out", "rest", "rest_err",
                  "value_order", "budget_order", "low", "top", "bottom", "b0_max",
-                 "events", "notes")
+                 "notes")
 
-    def __init__(self, inst: ValidatedInstance, cfg: EngineConfig, record: bool):
+    def __init__(self, inst: ValidatedInstance, cfg: EngineConfig, emit=None):
         self.values = inst.values
         self.b0 = inst.budgets
         self.cfg = cfg
-        self.record = record
+        self.emit = emit
         self.n = inst.n
+        # the delta rows of every entry and of every exit without receivers
+        self.zeros = (0.0,) * self.n if emit is not None else None
         self.x = [0.0] * self.n
         self.B = list(inst.budgets)
         self.S = float(inst.supply)
@@ -138,7 +144,6 @@ class _Run:
         self.top = 0            # budget_order index of the largest outsider
         self.bottom = self.n - 1  # budget_order index of the smallest outsider
         self.b0_max = max(self.b0)
-        self.events: list[Event] = []
         self.notes: list[str] = []
 
     @classmethod
@@ -150,7 +155,7 @@ class _Run:
         """
         inst = ValidatedInstance(state.values, state.budgets, state.supply,
                                  *player_orders(state.values, state.budgets))
-        run = cls(inst, cfg, record=False)
+        run = cls(inst, cfg)
         run.p = state.price
         run.x = list(state.allocation)
         run.active = set(state.active)
@@ -173,6 +178,15 @@ class _Run:
         return PriceState(price, tuple(self.x), tuple(self.B), self.S,
                           frozenset(self.active), frozenset(self.clinching),
                           self.values)
+
+    def row(self, entries: dict[int, float]) -> tuple[float, ...]:
+        """A delta row: `entries` on the shared zero row."""
+        if not entries:
+            return self.zeros
+        row = list(self.zeros)
+        for i, d in entries.items():
+            row[i] = d
+        return tuple(row)
 
     def top_outsider(self) -> int:
         """The active outsider with the largest budget; needs n_out > 0."""
@@ -298,14 +312,12 @@ class _Run:
 
     def do_entry(self, pe: float) -> None:
         self.advance_to(pe)
-        before = self.snap(pe) if self.record else None
         joiners = self.enter()
         if not joiners:
             raise NumericalDivergence(f"entry event at p={pe} added no players")
-        if self.record:
-            zero = (0.0,) * self.n
-            self.events.append(Event(EVENT_CLINCH_ENTRY, pe, tuple(sorted(joiners)),
-                                     zero, zero, before, self.snap(pe)))
+        if self.emit is not None:
+            self.emit(Event(EVENT_CLINCH_ENTRY, pe, tuple(sorted(joiners)),
+                            self.zeros, self.zeros, self.snap(pe)))
 
     def remove(self, j: int) -> None:
         self.active.remove(j)
@@ -315,8 +327,8 @@ class _Run:
         else:
             self.drop_outsider(j)
 
-    def clinch(self, v: float, tol: float, dx: list | None = None,
-               dpay: list | None = None) -> None:
+    def clinch(self, v: float, tol: float, dx: dict | None = None,
+               dpay: dict | None = None) -> None:
         """The discrete clinch of the active players after one exit at v.
 
         A holder of remaining budget b clinches delta = [S - (tot - b)/v]^+,
@@ -382,19 +394,18 @@ class _Run:
                 exiting.append(order[pos])
             pos += 1
         tol = _money_tol(self.cfg, v, self.b0_max)
-        dx = dpay = before = None
+        dx = dpay = None
         for idx, j in enumerate(exiting):
-            if self.record:
-                before = self.snap(v)
-                dx, dpay = [0.0] * self.n, [0.0] * self.n
+            if self.emit is not None:
+                dx, dpay = {}, {}
             self.remove(j)
             if self.active:
                 self.clinch(v, tol, dx, dpay)
             if idx == len(exiting) - 1:
                 self.settle()
-            if self.record:
-                self.events.append(Event(EVENT_EXIT, v, (j,), tuple(dx), tuple(dpay),
-                                         before, self.snap(v)))
+            if self.emit is not None:
+                self.emit(Event(EVENT_EXIT, v, (j,), self.row(dx), self.row(dpay),
+                                self.snap(v)))
 
     def run(self) -> None:
         rounds = 0
@@ -420,7 +431,7 @@ class _Run:
 
 
 def _single_bidder(inst: ValidatedInstance, cfg: EngineConfig) -> _Run:
-    run = _Run(inst, cfg, record=False)
+    run = _Run(inst, cfg)
     if inst.values[0] > 0.0 and inst.supply > cfg.supply_floor:
         run.x[0] = inst.supply
         run.S = 0.0
@@ -433,27 +444,39 @@ def _single_bidder(inst: ValidatedInstance, cfg: EngineConfig) -> _Run:
     return run
 
 
-def _execute(inst, cfg: EngineConfig, record: bool) -> _Run:
+def _execute(inst, cfg: EngineConfig, emit=None) -> _Run:
     vinst = _ensure_validated(inst)
     if vinst.n == 1:
         return _single_bidder(vinst, cfg)
-    run = _Run(vinst, cfg, record)
+    run = _Run(vinst, cfg, emit)
     run.run()
     return run
 
 
 def solve(inst, config: EngineConfig = DEFAULT_CONFIG) -> Outcome:
     """Final allocation and payments of the auction for this instance."""
-    return _execute(inst, config, record=False).outcome()
+    return _execute(inst, config).outcome()
+
+
+def run_trace(inst, on_event, config: EngineConfig = DEFAULT_CONFIG
+              ) -> tuple[PriceState, Outcome, tuple[str, ...]]:
+    """Run the auction, handing each `Event` to `on_event` as it happens.
+
+    Returns the final state, the outcome (exactly `solve`'s) and the notes.
+    No event is retained; if the run raises, `on_event` has seen every event
+    before the failure.
+    """
+    run = _execute(inst, config, on_event)
+    return run.snap(run.p), run.outcome(), tuple(run.notes)
 
 
 def trace(inst, config: EngineConfig = DEFAULT_CONFIG) -> EventTrace:
-    """Full event trace; its final state yields exactly the `solve` outcome."""
+    """Full event trace: `run_trace` with the events collected."""
     vinst = _ensure_validated(inst)
-    run = _execute(vinst, config, record=config.record_states)
-    return EventTrace(vinst.values, vinst.budgets, vinst.supply,
-                      tuple(run.events), run.snap(run.p), run.outcome(),
-                      tuple(run.notes))
+    events: list[Event] = []
+    final, outcome, notes = run_trace(vinst, events.append, config)
+    return EventTrace(vinst.values, vinst.budgets, vinst.supply, tuple(events),
+                      final, outcome, notes)
 
 
 def next_event_price(state: PriceState, config: EngineConfig = DEFAULT_CONFIG
@@ -522,6 +545,14 @@ def initial_state(inst) -> PriceState:
     active = frozenset(i for i in range(vinst.n) if vinst.values[i] > 0.0)
     return PriceState(0.0, (0.0,) * vinst.n, vinst.budgets, vinst.supply,
                       active, frozenset(), vinst.values)
+
+
+def left_limit(tr: EventTrace, k: int, config: EngineConfig = DEFAULT_CONFIG
+               ) -> PriceState:
+    """The state just before event k: the state after event k-1 (the initial
+    state for k = 0) evolved to event k's price."""
+    prev = tr.events[k - 1].after if k else initial_state(tr)
+    return evolve(prev, tr.events[k].price, config)
 
 
 def state_at(tr: EventTrace, p: float, config: EngineConfig = DEFAULT_CONFIG

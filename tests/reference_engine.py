@@ -153,7 +153,6 @@ class _Run:
 
     def do_entry(self, pe: float) -> None:
         self.advance_to(pe)
-        before = self.snap(pe) if self.record else None
         bstar = max(self.B[i] for i in self.active)
         joiners = {i for i in self.active - self.clinching
                    if close(self.B[i], bstar, self.cfg.rel_tol)}
@@ -163,7 +162,7 @@ class _Run:
         if self.record:
             zero = (0.0,) * self.n
             self.events.append(Event(EVENT_CLINCH_ENTRY, pe, tuple(sorted(joiners)),
-                                     zero, zero, before, self.snap(pe)))
+                                     zero, zero, self.snap(pe)))
 
     def do_exit(self, v: float) -> None:
         """Remove every active player with value v, lowest index first.
@@ -181,7 +180,6 @@ class _Run:
         exiting = sorted(i for i in self.active if self.values[i] == v)
         tol = _money_tol(self.cfg, v, max(self.b0, default=1.0))
         for idx, j in enumerate(exiting):
-            before = self.snap(v) if self.record else None
             self.active.remove(j)
             self.clinching.discard(j)
             delta = [0.0] * self.n
@@ -218,7 +216,7 @@ class _Run:
             if self.record:
                 pays = tuple(v * d for d in delta)
                 self.events.append(Event(EVENT_EXIT, v, (j,), tuple(delta), pays,
-                                         before, self.snap(v)))
+                                         self.snap(v)))
 
     def run(self) -> None:
         rounds = 0
@@ -274,7 +272,7 @@ def solve(inst, config: EngineConfig = DEFAULT_CONFIG) -> Outcome:
 def trace(inst, config: EngineConfig = DEFAULT_CONFIG) -> EventTrace:
     """Full event trace; its final state yields exactly the `solve` outcome."""
     vinst = _ensure_validated(inst)
-    run = _execute(vinst, config, record=config.record_states)
+    run = _execute(vinst, config, record=True)
     return EventTrace(vinst.values, vinst.budgets, vinst.supply,
                       tuple(run.events), run.snap(run.p), run.outcome(),
                       tuple(run.notes))

@@ -1,8 +1,11 @@
+import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,45 @@ class TestTrace:
                            "--format", "table")
         assert code == 0
         assert "clinch_entry" in out and "outcome" in out
+
+    def test_failed_run_prints_its_events_and_no_final_line(self, capsys, tmp_path):
+        # property_corpus(3, 300)[177] with money x1e-8, where the absolute
+        # tolerance floor breaks the engine (the scale FOUND in CHANGES.md):
+        # an exit raises NegativeBudget after two events
+        path = tmp_path / "tiny-money.json"
+        path.write_text(
+            '{"values": [2.3054170377860449e-08, 2.5806807323068061e-09, '
+            '2.1101663457603105e-08], "budgets": [3.5432825938071093e-08, '
+            '1.9535739229835114e-08, 1.4132548879083373e-08], '
+            '"supply": 3.1161112140965486}')
+        code, out, err = run(capsys, "trace", "--input", str(path))
+        assert code == 2
+        assert err.startswith("error: exit at") and "overdraw" in err
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [(e["kind"], e["players"]) for e in lines] == [("exit", [1]),
+                                                              ("clinch_entry", [0])]
+
+
+class TestTraceMemory:
+    def test_trace_does_not_hold_the_whole_run(self, tmp_path):
+        # shaped like the benchmark's large traces; the JSON lines print as
+        # the events happen, so memory stays near one event's snapshot
+        # (0.5 MB) where holding every event's snapshots took 24 MB
+        rng = random.Random(512)
+        n = 512
+        path = tmp_path / "n512.json"
+        path.write_text(dumps({"values": [rng.randint(1, 1000) / 100 for _ in range(n)],
+                               "budgets": [rng.uniform(0.5, 2.0) for _ in range(n)],
+                               "supply": n / 100 * rng.uniform(0.75, 1.25)}))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["trace", "--input", str(path)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
 
 
 class TestStream:

@@ -1,14 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from clinch import cli, core, engine
 from clinch.core import (
+    AuctionError,
     AuctionInstance,
     BudgetExceeded,
     EmptyInstance,
@@ -168,6 +171,42 @@ _docs = st.recursive(
 _SHARED_MEMO = FloatMemo()  # outlives every example, as one output stream's would
 
 
+def _small_instances(n: int):
+    """Instances that stress the row encoder: bit-equal value ties, equal,
+    zero and -0.0 budgets, zero values and zero supply."""
+    values = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0]),
+                       st.floats(0.01, 10.0))
+    budgets = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.11]),
+                        st.floats(0.0, 5.0))
+    supply = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0]), st.floats(0.0, 20.0))
+    return st.tuples(st.lists(values, min_size=n, max_size=n),
+                     st.lists(budgets, min_size=n, max_size=n), supply)
+
+
+def _trace_stdout(inst, path) -> tuple[int, list[str]]:
+    # json.dumps keeps a -0.0 budget as -0.0; the package's encoder writes -0
+    path.write_text(json.dumps({"values": list(inst.values),
+                                "budgets": list(inst.budgets), "supply": inst.supply}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["trace", "--input", str(path)])
+    return code, out.getvalue().splitlines()
+
+
+def _reference_trace_lines(inst) -> list[str]:
+    """Per-value encoding of every event line, and of the final line unless
+    the run fails."""
+    events = []
+    try:
+        _, outcome, notes = engine.run_trace(inst, events.append)
+    except AuctionError:
+        final = []
+    else:
+        final = [_reference_encode({"kind": "final", "x": list(outcome.allocation),
+                                    "pi": list(outcome.payments), "notes": list(notes)})]
+    return [_reference_encode(cli._event_doc(ev)) for ev in events] + final
+
+
 class TestEncoder:
     @given(st.lists(_docs, min_size=1, max_size=6))
     def test_matches_reference_with_a_reused_memo(self, docs):
@@ -208,13 +247,27 @@ class TestEncoder:
         path.write_text(instance_to_json(inst))
         assert cli.main(["trace", "--input", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        tr = engine.trace(inst)
-        want = [_reference_encode(cli._event_doc(ev)) for ev in tr.events]
-        want.append(_reference_encode({"kind": "final", "x": list(tr.outcome.allocation),
-                                       "pi": list(tr.outcome.payments),
-                                       "notes": list(tr.notes)}))
-        assert len(tr.events) > 30
+        assert len(lines) > 30
+        assert lines == _reference_trace_lines(inst)
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 12).flatmap(_small_instances))
+    def test_trace_lines_match_reference_encoding_on_small_instances(
+            self, tmp_path_factory, doc):
+        values, budgets, supply = doc
+        inst = validate_instance(values=values, budgets=budgets, supply=supply)
+        code, lines = _trace_stdout(inst, tmp_path_factory.getbasetemp() / "small.json")
+        want = _reference_trace_lines(inst)
         assert lines == want
+        assert code == (0 if want and json.loads(want[-1])["kind"] == "final" else 2)
+
+    def test_trace_keeps_a_negative_zero_budget(self, tmp_path):
+        inst = validate_instance(values=[2.0, 1.0, 3.0], budgets=[1.0, -0.0, 1.0],
+                                 supply=1.0)
+        code, lines = _trace_stdout(inst, tmp_path / "negzero.json")
+        assert code == 0 and len(lines) > 2
+        assert all('"B": [' in line and ", -0, " in line for line in lines[:-1])
+        assert lines == _reference_trace_lines(inst)
 
 
 class TestPriceState:

@@ -13,11 +13,12 @@ from clinch.core import (
     ZeroPrice,
 )
 from clinch.engine import (
-    EngineConfig,
     evolve,
     exit_step,
     initial_state,
+    left_limit,
     next_event_price,
+    run_trace,
     solve,
     state_at,
     trace,
@@ -135,11 +136,14 @@ class TestTrace:
                      validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)):
             assert solve(inst) == trace(inst).outcome
 
-    def test_trace_recording_can_be_disabled(self):
-        cfg = EngineConfig(record_states=False)
-        tr = trace(SHOWCASE, cfg)
-        assert tr.events == ()
-        assert tr.outcome == solve(SHOWCASE)
+    def test_run_trace_with_a_discarding_callback_returns_the_solve_outcome(self):
+        for inst in (SHOWCASE,
+                     validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1),
+                     validate_instance(values=[4], budgets=[1], supply=2)):
+            final, outcome, notes = run_trace(inst, lambda ev: None)
+            tr = trace(inst)
+            assert outcome == solve(inst) == tr.outcome
+            assert (final, notes) == (tr.final, tr.notes)
 
 
 class TestNextEventPrice:
@@ -230,15 +234,15 @@ class TestExitStep:
         # zero-budget FOUND in CHANGES.md); snapshots of such a trace are
         # engine output and must not be re-validated as user input
         tr = trace(validate_instance(values=[3, 2, 1], budgets=[0, 1, 0], supply=2))
-        assert tr.events[1].before.budgets == (-0.5, -0.5, 0.0)
+        assert left_limit(tr, 1).budgets == (-0.5, -0.5, 0.0)
         assert next_event_price(state_at(tr, 1.5)) == (2.0, EVENT_EXIT)
-        after = exit_step(tr.events[1].before, 2.0)
+        after = exit_step(left_limit(tr, 1), 2.0)
         assert after.allocation == (0.375, 1.375, 0.0)
         assert after.budgets == (-0.5, -0.5, 0.0)
         assert after.supply == 0.25
         assert after.clinching == after.active == frozenset({0})
-        for ev in tr.events:
-            assert exit_step(ev.before, ev.price) == ev.after
+        for k, ev in enumerate(tr.events):
+            assert exit_step(left_limit(tr, k), ev.price) == ev.after
 
     def test_tied_pair_removed_sequentially(self):
         tied = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
@@ -261,9 +265,9 @@ class TestWishfulAllocation:
 
     def test_continuous_across_exit_events(self):
         tr = trace(SHOWCASE)
-        for ev in tr.events:
+        for k, ev in enumerate(tr.events):
             if ev.kind == EVENT_EXIT:
-                pre = wishful_allocation(ev.before)
+                pre = wishful_allocation(left_limit(tr, k))
                 post = wishful_allocation(ev.after)
                 assert all(abs(a - b) <= 1e-9 * max(1.0, abs(a))
                            for a, b in zip(pre, post))
