@@ -4,7 +4,6 @@ verification harness."""
 
 from .core import (
     AuctionError,
-    AuctionInstance,
     Event,
     EventTrace,
     Outcome,
@@ -14,7 +13,6 @@ from .core import (
     validate_instance,
 )
 from .engine import (
-    EngineConfig,
     evolve,
     exit_step,
     next_event_price,
@@ -26,8 +24,6 @@ from .engine import (
 
 __all__ = [
     "AuctionError",
-    "AuctionInstance",
-    "EngineConfig",
     "Event",
     "EventTrace",
     "Outcome",

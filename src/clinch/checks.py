@@ -15,13 +15,13 @@ import numpy as np
 
 from . import engine, oracle
 from .core import (
-    ABS_FLOOR,
     EVENT_EXIT,
     EventTrace,
     Outcome,
     PriceState,
     ValidatedInstance,
     check_price_state,
+    tol,
     validate_instance,
 )
 from .engine import state_at, wishful_allocation
@@ -165,8 +165,8 @@ def stratified_two_player(seed: int = 0, count: int = 10000,
 # ---------------------------------------------------------------------------
 # Truthfulness / rationality / budget feasibility
 
-def misreport_grid(inst: ValidatedInstance, player: int, points: int = 50,
-                   rel: float = 1e-9) -> list[float]:
+def misreport_grid(inst: ValidatedInstance, player: int, points: int = 50
+                   ) -> list[float]:
     """Candidate misreports: an even grid over [0, 2 max v] plus every
     opponent value nudged one tolerance-width to either side (the only
     discontinuity candidates)."""
@@ -175,7 +175,7 @@ def misreport_grid(inst: ValidatedInstance, player: int, points: int = 50,
     for j, v in enumerate(inst.values):
         if j == player:
             continue
-        eps = max(ABS_FLOOR, rel * max(1.0, v))
+        eps = tol(v)
         grid.extend((max(v - eps, 0.0), v + eps))
     return grid
 
@@ -358,7 +358,6 @@ def check_pareto(inst: ValidatedInstance, outcome: Outcome,
 # Supply monotonicity
 
 def check_supply_monotonicity(values, budgets, supply_pairs,
-                              config: engine.EngineConfig = engine.DEFAULT_CONFIG,
                               slack: float = 1e-8) -> PropertyReport:
     """x, payments and utilities all grow with supply; the wishful
     allocation of the larger run dominates at every shared trace price."""
@@ -369,7 +368,7 @@ def check_supply_monotonicity(values, budgets, supply_pairs,
             s_lo, s_hi = s_hi, s_lo
         lo = validate_instance(values=values, budgets=budgets, supply=s_lo)
         hi = validate_instance(values=values, budgets=budgets, supply=s_hi)
-        tr_lo, tr_hi = engine.trace(lo, config), engine.trace(hi, config)
+        tr_lo, tr_hi = engine.trace(lo), engine.trace(hi)
         out_lo, out_hi = tr_lo.outcome, tr_hi.outcome
         for i in range(lo.n):
             drops = (
@@ -388,8 +387,8 @@ def check_supply_monotonicity(values, budgets, supply_pairs,
         prices = sorted({ev.price for ev in tr_lo.events + tr_hi.events
                          if ev.price > 0.0})
         for p in prices:
-            psi_lo = wishful_allocation(state_at(tr_lo, p, config))
-            psi_hi = wishful_allocation(state_at(tr_hi, p, config))
+            psi_lo = wishful_allocation(state_at(tr_lo, p))
+            psi_hi = wishful_allocation(state_at(tr_hi, p))
             for i in range(lo.n):
                 drop = psi_lo[i] - psi_hi[i]
                 if drop > worst:
@@ -405,9 +404,7 @@ def check_supply_monotonicity(values, budgets, supply_pairs,
 # Engine-vs-integrator agreement
 
 def check_oracle_agreement(instances, h: float = 1e-4, tol: float | None = None,
-                           shrink: float = 1.5,
-                           config: engine.EngineConfig = engine.DEFAULT_CONFIG
-                           ) -> PropertyReport:
+                           shrink: float = 1.5) -> PropertyReport:
     """Componentwise engine/integrator agreement at step h, plus first-order
     convergence: the corpus mean error must shrink by `shrink` when h halves.
 
@@ -420,7 +417,7 @@ def check_oracle_agreement(instances, h: float = 1e-4, tol: float | None = None,
     witness = None
     errs_h, errs_h2 = [], []
     for inst in instances:
-        ref = engine.solve(inst, config)
+        ref = engine.solve(inst)
         approx = oracle.solve_euler(inst, h)
         fine = oracle.solve_euler(inst, h / 2.0)
         err = max(abs(a - b) for a, b in zip(approx.allocation + approx.payments,
@@ -467,8 +464,7 @@ def _segment_sales(start: PriceState, rho: np.ndarray) -> np.ndarray:
     return k * s0 * (p0 / rho) ** k
 
 
-def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CONFIG,
-                 rtol: float = 1e-8, samples: int = 5) -> list[str]:
+def verify_trace(tr: EventTrace, rtol: float = 1e-8, samples: int = 5) -> list[str]:
     """Violation messages for every structural law along one trace.
 
     Covers the snapshot invariants at (and between) all recorded states,
@@ -482,9 +478,6 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
     if inst.n == 1 or not tr.events:
         return bad
     nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-
-    def money_tol(x: float = 1.0) -> float:
-        return max(ABS_FLOOR, rtol * max(1.0, abs(x)))
 
     def gauss(lo: float, hi: float, fvals) -> float:
         # geometric panels: segments can span decades of price and the
@@ -502,7 +495,7 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
     first_exit_at = {}
     for ev in tr.events:
         first_exit_at.setdefault((ev.kind, ev.price), ev)
-    lefts = [engine.left_limit(tr, k, config) for k in range(len(tr.events))]
+    lefts = [engine.left_limit(tr, k) for k in range(len(tr.events))]
     states = [(engine.initial_state(inst), "gt", "initial", False)]
     for ev, left in zip(tr.events, lefts):
         rule = "ge" if ev.kind == EVENT_EXIT else "gt"
@@ -528,7 +521,7 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
             continue
         for frac in np.linspace(0.15, 0.85, samples):
             p = start.price + frac * (p_end - start.price)
-            st = engine.evolve(start, float(p), config)
+            st = engine.evolve(start, float(p))
             for msg in check_price_state(st, tr.budgets, tr.supply, rtol, "gt"):
                 bad.append(f"inside segment at p={p:g}: {msg}")
 
@@ -538,9 +531,9 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
     prev_psi = None
     for st, _, label, _relaxed in states[1:]:
         for i in range(inst.n):
-            if st.allocation[i] < prev_state.allocation[i] - money_tol():
+            if st.allocation[i] < prev_state.allocation[i] - tol(1.0, rel=rtol):
                 bad.append(f"{label}: allocation of {i} decreased")
-            if st.budgets[i] > prev_state.budgets[i] + money_tol(st.budgets[i]):
+            if st.budgets[i] > prev_state.budgets[i] + tol(st.budgets[i], rel=rtol):
                 bad.append(f"{label}: budget of {i} increased")
         for i in seen_clinching:
             if tr.values[i] > st.price and i not in st.clinching:
@@ -551,7 +544,7 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
             psi = wishful_allocation(st)
             if prev_psi is not None:
                 for i in range(inst.n):
-                    if psi[i] > prev_psi[i] + money_tol(psi[i]):
+                    if psi[i] > prev_psi[i] + tol(psi[i], rel=rtol):
                         bad.append(f"{label}: wishful allocation of {i} increased")
             prev_psi = psi
         prev_state = st
@@ -561,18 +554,18 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
         if ev.kind == EVENT_EXIT and ev.price > 0.0:
             pre, post = wishful_allocation(left), wishful_allocation(ev.after)
             for i in range(inst.n):
-                if abs(pre[i] - post[i]) > money_tol(pre[i]):
+                if abs(pre[i] - post[i]) > tol(pre[i], rel=rtol):
                     bad.append(f"exit@{ev.price:g}: wishful allocation of {i} jumped "
                                f"by {post[i] - pre[i]}")
     for start, p_end in segs:
         if p_end <= start.price or start.price <= 0.0:
             continue
-        end = engine.evolve(start, p_end, config)
+        end = engine.evolve(start, p_end)
         psi0, psi1 = wishful_allocation(start), wishful_allocation(end)
         for i in range(inst.n):
             drop = gauss(start.price, p_end,
                          lambda r, i=i: _segment_budget(start, i, r) / r**2)
-            if abs((psi0[i] - psi1[i]) - drop) > money_tol(psi0[i]):
+            if abs((psi0[i] - psi1[i]) - drop) > tol(psi0[i], rel=rtol):
                 bad.append(f"segment from p={start.price:g}: wishful decrement of "
                            f"{i} is {psi0[i] - psi1[i]}, integral gives {drop}")
 
@@ -584,13 +577,13 @@ def verify_trace(tr: EventTrace, config: engine.EngineConfig = engine.DEFAULT_CO
                                lambda r: _segment_sales(start, r))
         collected += sum(ev.delta_pay)
         total_paid = sum(b0 - b for b0, b in zip(tr.budgets, ev.after.budgets))
-        if abs(total_paid - collected) > money_tol(collected):
+        if abs(total_paid - collected) > tol(collected, rel=rtol):
             bad.append(f"after {ev.kind}@{ev.price:g}: money paid {total_paid} != "
                        f"price-weighted sales {collected}")
 
     # full allocation
     if all(v > 0.0 for v in tr.values) and inst.n >= 2:
-        if abs(sum(tr.outcome.allocation) - tr.supply) > money_tol(tr.supply):
+        if abs(sum(tr.outcome.allocation) - tr.supply) > tol(tr.supply, rel=rtol):
             bad.append(f"final allocation sums to {sum(tr.outcome.allocation)}, "
                        f"supply is {tr.supply}")
     return bad
@@ -612,9 +605,7 @@ def _adaptive_simpson(f, a: float, b: float, fa: float, fm: float, fb: float,
             + _adaptive_simpson(f, m, b, fm, frm, fb, tol / 2.0, depth - 1))
 
 
-def myerson_gap(inst: ValidatedInstance, player: int,
-                config: engine.EngineConfig = engine.DEFAULT_CONFIG,
-                quad_tol: float = 1e-6) -> float:
+def myerson_gap(inst: ValidatedInstance, player: int, quad_tol: float = 1e-6) -> float:
     """|pay_i - (v_i x_i - integral of x_i over reports in [0, v_i])|.
 
     The allocation curve jumps only at opponent values but has steep knees
@@ -623,7 +614,7 @@ def myerson_gap(inst: ValidatedInstance, player: int,
     Simpson between opponent values.
     """
     v_i = inst.values[player]
-    out = engine.solve(inst, config)
+    out = engine.solve(inst)
     breaks = sorted({0.0, v_i, *(v for j, v in enumerate(inst.values)
                                  if j != player and 0.0 < v < v_i)})
 
@@ -631,7 +622,7 @@ def myerson_gap(inst: ValidatedInstance, player: int,
         vals = list(inst.values)
         vals[player] = float(u)
         dev = engine.solve(validate_instance(values=vals, budgets=inst.budgets,
-                                             supply=inst.supply), config)
+                                             supply=inst.supply))
         return dev.allocation[player]
 
     integral = 0.0

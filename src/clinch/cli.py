@@ -23,12 +23,6 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _config(args) -> engine.EngineConfig:
-    if args.tolerance is None:
-        return engine.DEFAULT_CONFIG
-    return engine.EngineConfig(rel_tol=args.tolerance)
-
-
 def _table(rows: list[tuple], header: tuple) -> str:
     cells = [tuple(str(c) for c in row) for row in [header, *rows]]
     widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
@@ -70,14 +64,14 @@ def _event_doc(ev, dx=list, dpi=list, x=list, B=list) -> dict:
 
 def _cmd_solve(args) -> int:
     inst = instance_from_json(_read_input(args.input))
-    _emit_outcome(engine.solve(inst, _config(args)), args)
+    _emit_outcome(engine.solve(inst), args)
     return 0
 
 
 def _cmd_trace(args) -> int:
     inst = instance_from_json(_read_input(args.input))
     if args.format == "table":  # the column widths need every row
-        tr = engine.trace(inst, _config(args))
+        tr = engine.trace(inst)
         rows = [(ev.kind, format(ev.price, ".12g"), ",".join(map(str, ev.players)),
                  format(sum(ev.delta_x), ".12g"), format(ev.after.supply, ".12g"))
                 for ev in tr.events]
@@ -92,7 +86,7 @@ def _cmd_trace(args) -> int:
     def emit(ev) -> None:
         print(dumps(_event_doc(ev, *rows), memo))
 
-    _, outcome, notes = engine.run_trace(inst, emit, _config(args))
+    _, outcome, notes = engine.run_trace(inst, emit)
     print(dumps({"kind": "final", "x": list(outcome.allocation),
                  "pi": list(outcome.payments), "notes": list(notes)}, memo))
     return 0
@@ -100,7 +94,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_stream(args) -> int:
     inst = instance_from_json(_read_input(args.input), require_supply=False)
-    sup = stream.init_stream(inst.values, inst.budgets, _config(args))
+    sup = stream.init_stream(inst.values, inst.budgets)
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -119,11 +113,10 @@ def _cmd_stream(args) -> int:
 def _cmd_n2(args) -> int:
     v1, v2 = args.v
     b1, b2 = args.b
-    out, label = two_player.solve_n2(v1, v2, b1, b2, args.s, _config(args))
+    out, label = two_player.solve_n2(v1, v2, b1, b2, args.s)
     extra = {"regime": label.regime.value, "split_spend": label.split_spend}
     if args.rates:
-        dx, dpay, _ = two_player.marginal_rates_n2(v1, v2, b1, b2, args.s,
-                                                   _config(args))
+        dx, dpay, _ = two_player.marginal_rates_n2(v1, v2, b1, b2, args.s)
         extra["dx_ds"] = list(dx)
         extra["dpi_ds"] = list(dpay)
     _emit_outcome(out, args, extra)
@@ -181,7 +174,6 @@ def _cmd_check(args) -> int:
     opts.update(_parse_corpus(args.corpus))
     count = int(opts.get("count", 100))
     rng = np.random.default_rng(args.seed)
-    cfg = _config(args)
     tol = args.tolerance
 
     if args.property == "oracle":
@@ -203,21 +195,21 @@ def _cmd_check(args) -> int:
                 reports.append(checks.check_ic(inst, points=int(opts.get("points", 50)),
                                                slack=tol or 1e-6))
             elif args.property == "ir":
-                reports.append(checks.check_ir(inst, engine.solve(inst, cfg),
+                reports.append(checks.check_ir(inst, engine.solve(inst),
                                                tol=tol or 1e-9))
             elif args.property == "budget":
-                reports.append(checks.check_budget(inst, engine.solve(inst, cfg),
+                reports.append(checks.check_budget(inst, engine.solve(inst),
                                                    tol=tol or 1e-9))
             elif args.property == "pareto":
                 reports.append(checks.check_pareto(
-                    inst, engine.solve(inst, cfg), rng,
+                    inst, engine.solve(inst), rng,
                     candidates=int(opts.get("candidates", 1000))))
             else:
                 base = inst.supply
                 pairs = [(base * rng.random(), base) for _ in
                          range(int(opts.get("pairs", 3)))]
                 reports.append(checks.check_supply_monotonicity(
-                    inst.values, inst.budgets, pairs, cfg, slack=tol or 1e-8))
+                    inst.values, inst.budgets, pairs, slack=tol or 1e-8))
         reports = [checks.merge_reports(reports[0].name, spec.describe(), reports)]
 
     if args.format == "table":
@@ -231,8 +223,6 @@ def _cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tolerance", type=float, default=None,
-                        help="override the relative tolerance / check slack")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for every randomized corpus")
     shared.add_argument("--format", choices=("json", "table"), default="json",
@@ -266,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None,
                    help="comma list of key=value generator parameters, e.g. "
                         "count=100,nmin=2,nmax=8,vmax=10,bmax=5,smax=20")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="the property's slack (default per property)")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("n2", parents=[shared],

@@ -3,7 +3,7 @@
 Everything downstream works on validated instances: a vector of per-unit
 valuations, a vector of budgets (money) and a total supply of a divisible
 good.  All quantities are IEEE doubles; equality between money/supply
-quantities is relative with an absolute floor (see `close`).
+quantities is relative with an absolute floor, by the one rule in `tol`.
 """
 from __future__ import annotations
 
@@ -17,16 +17,22 @@ from typing import Sequence
 
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
+SUPPLY_FLOOR = 1e-12  # remnant supply at or below this counts as sold out
 
 
-def close(a: float, b: float, rel: float = REL_TOL, floor: float = ABS_FLOOR) -> bool:
-    """True when a and b agree within rel * max(1, |a|, |b|), floored at `floor`."""
-    return abs(a - b) <= max(floor, rel * max(1.0, abs(a), abs(b)))
+def tol(x: float, *xs: float, rel: float = REL_TOL) -> float:
+    """The tolerance rule: rel * max(1, |x|, |xs|...), floored at ABS_FLOOR."""
+    return max(ABS_FLOOR, rel * max(1.0, abs(x), *map(abs, xs)))
 
 
-def leq(a: float, b: float, rel: float = REL_TOL, floor: float = ABS_FLOOR) -> bool:
-    """a <= b up to the shared tolerance."""
-    return a <= b + max(floor, rel * max(1.0, abs(a), abs(b)))
+def close(a: float, b: float, rel: float = REL_TOL) -> bool:
+    """True when a and b agree within `tol(a, b)`."""
+    return abs(a - b) <= tol(a, b, rel=rel)
+
+
+def leq(a: float, b: float, rel: float = REL_TOL) -> bool:
+    """a <= b up to `tol(a, b)`."""
+    return a <= b + tol(a, b, rel=rel)
 
 
 class AuctionError(Exception):
@@ -94,19 +100,6 @@ class OracleViolation(AuctionError):
 
 
 @dataclass(frozen=True)
-class AuctionInstance:
-    """Raw problem input: per-unit values v_i, budgets B_i and total supply s."""
-
-    values: tuple[float, ...]
-    budgets: tuple[float, ...]
-    supply: float
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class ValidatedInstance:
     """An instance that passed validation, plus derived ordering metadata.
 
@@ -139,7 +132,7 @@ def _as_floats(name: str, xs: Sequence[float]) -> tuple[float, ...]:
 
 
 def validate_instance(
-    inst: AuctionInstance | ValidatedInstance | None = None,
+    inst: ValidatedInstance | None = None,
     *,
     values: Sequence[float] | None = None,
     budgets: Sequence[float] | None = None,
@@ -189,13 +182,13 @@ class Outcome:
         return len(self.allocation)
 
 
-def utility(inst: ValidatedInstance | AuctionInstance, outcome: Outcome, i: int) -> float:
+def utility(inst: ValidatedInstance, outcome: Outcome, i: int) -> float:
     """Budget-constrained utility v_i * x_i - pay_i for player i.
 
     Raises BudgetExceeded instead of returning the -infinity branch.
     """
     pay = outcome.payments[i]
-    if pay > inst.budgets[i] + max(ABS_FLOOR, REL_TOL * max(1.0, pay, inst.budgets[i])):
+    if not leq(pay, inst.budgets[i]):
         raise BudgetExceeded(f"player {i} pays {pay} with budget {inst.budgets[i]}")
     return inst.values[i] * outcome.allocation[i] - pay
 
@@ -435,7 +428,7 @@ def dumps(obj, memo: FloatMemo | None = None) -> str:
     return _encode(obj, FloatMemo() if memo is None else memo)
 
 
-def instance_to_json(inst: ValidatedInstance | AuctionInstance) -> str:
+def instance_to_json(inst: ValidatedInstance) -> str:
     return dumps({"values": list(inst.values), "budgets": list(inst.budgets),
                   "supply": inst.supply})
 

@@ -27,12 +27,11 @@ there are; `trace` collects the events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import repeat
 from operator import sub
 
 from .core import (
-    ABS_FLOOR,
     EVENT_CLINCH_ENTRY,
     EVENT_EXIT,
     Event,
@@ -43,34 +42,20 @@ from .core import (
     NumericalDivergence,
     Outcome,
     PriceState,
+    SUPPLY_FLOOR,
     ValidatedInstance,
     ZeroPrice,
     close,
     player_orders,
+    tol,
     validate_instance,
 )
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Numerical knobs: relative tolerance and supply-exhaustion floor."""
-
-    rel_tol: float = 1e-9
-    supply_floor: float = 1e-12
-
-
-DEFAULT_CONFIG = EngineConfig()
 
 
 def _ensure_validated(inst) -> ValidatedInstance:
     if isinstance(inst, ValidatedInstance):
         return inst
     return validate_instance(inst)
-
-
-def _money_tol(cfg: EngineConfig, *xs: float) -> float:
-    scale = max(1.0, *map(abs, xs)) if xs else 1.0
-    return max(ABS_FLOOR, cfg.rel_tol * scale)
 
 
 def _segment(p: float, p_new: float, S: float, k: int) -> tuple[float, float, float]:
@@ -90,19 +75,6 @@ def _segment(p: float, p_new: float, S: float, k: int) -> tuple[float, float, fl
     return s_new, (S - s_new) / k, p * S / (k - 1) * (ratio ** (k - 1) - 1.0)
 
 
-def _segment_advance(p: float, p_new: float, x: list, B: list, S: float,
-                     clinching) -> float:
-    """Apply the segment closed form to a snapshot's x and B; return the new supply."""
-    k = len(clinching)
-    if k == 0 or p_new == p:
-        return S
-    s_new, gain, db = _segment(p, p_new, S, k)
-    for i in clinching:
-        x[i] += gain
-        B[i] += db
-    return s_new
-
-
 class _Run:
     """Compressed state of one auction execution (see the module docstring).
 
@@ -112,15 +84,14 @@ class _Run:
     None and takes no snapshots.
     """
 
-    __slots__ = ("values", "b0", "cfg", "emit", "zeros", "n", "x", "B", "S", "p",
+    __slots__ = ("values", "b0", "emit", "zeros", "n", "x", "B", "S", "p",
                  "active", "clinching", "G", "bstar", "n_out", "rest", "rest_err",
                  "value_order", "budget_order", "low", "top", "bottom", "b0_max",
                  "notes")
 
-    def __init__(self, inst: ValidatedInstance, cfg: EngineConfig, emit=None):
+    def __init__(self, inst: ValidatedInstance, emit=None):
         self.values = inst.values
         self.b0 = inst.budgets
-        self.cfg = cfg
         self.emit = emit
         self.n = inst.n
         # the delta rows of every entry and of every exit without receivers
@@ -147,7 +118,7 @@ class _Run:
         self.notes: list[str] = []
 
     @classmethod
-    def resume(cls, state: PriceState, cfg: EngineConfig) -> "_Run":
+    def resume(cls, state: PriceState) -> "_Run":
         """A run restarted from a snapshot; its budgets stand in for B_i(0).
 
         The snapshot is engine output, not user input: its budgets may have
@@ -155,7 +126,7 @@ class _Run:
         """
         inst = ValidatedInstance(state.values, state.budgets, state.supply,
                                  *player_orders(state.values, state.budgets))
-        run = cls(inst, cfg)
+        run = cls(inst)
         run.p = state.price
         run.x = list(state.allocation)
         run.active = set(state.active)
@@ -245,7 +216,7 @@ class _Run:
         joined = []
         while self.n_out:
             i = self.top_outsider()
-            if not close(self.b0[i], bstar, self.cfg.rel_tol):
+            if not close(self.b0[i], bstar):
                 break
             self.join(i, 0.0)
             joined.append(i)
@@ -293,7 +264,7 @@ class _Run:
         next exit is absorbed by the exit's discrete clinch."""
         v_next = self.lowest_value()
         pe = self.entry_price()
-        if pe < v_next and not close(pe, v_next, self.cfg.rel_tol):
+        if pe < v_next and not close(pe, v_next):
             return pe, EVENT_CLINCH_ENTRY
         return v_next, EVENT_EXIT
 
@@ -306,8 +277,8 @@ class _Run:
         ever emitted.
         """
         if self.n_out and (self.clinching or (
-                self.S > self.cfg.supply_floor
-                and self.entry_price() <= self.p + _money_tol(self.cfg, self.p))):
+                self.S > SUPPLY_FLOOR
+                and self.entry_price() <= self.p + tol(self.p))):
             self.enter()
 
     def do_entry(self, pe: float) -> None:
@@ -327,7 +298,7 @@ class _Run:
         else:
             self.drop_outsider(j)
 
-    def clinch(self, v: float, tol: float, dx: dict | None = None,
+    def clinch(self, v: float, eps: float, dx: dict | None = None,
                dpay: dict | None = None) -> None:
         """The discrete clinch of the active players after one exit at v.
 
@@ -344,7 +315,7 @@ class _Run:
         S, bstar, k = self.S, self.bstar, len(self.clinching)
         tot = k * bstar + self.outsider_budget()
         over = S - tot / v  # -T/v: how far the cap binds, for every receiver alike
-        if over > tol / max(v, 1.0) and self.min_budget() > tol:
+        if over > eps / max(v, 1.0) and self.min_budget() > eps:
             raise NegativeBudget(f"exit at {v} would overdraw every budget by {S * v - tot}")
         sold, left = 0.0, None
         if k:
@@ -369,7 +340,7 @@ class _Run:
                 dx[i], dpay[i] = d, v * d
         if left is not None:
             if left < 0.0:
-                if left < -tol:
+                if left < -eps:
                     raise NegativeBudget(f"budget {left} after exit at {v}")
                 left = 0.0
             self.bstar = left
@@ -393,14 +364,14 @@ class _Run:
             if order[pos] in self.active:
                 exiting.append(order[pos])
             pos += 1
-        tol = _money_tol(self.cfg, v, self.b0_max)
+        eps = tol(v, self.b0_max)
         dx = dpay = None
         for idx, j in enumerate(exiting):
             if self.emit is not None:
                 dx, dpay = {}, {}
             self.remove(j)
             if self.active:
-                self.clinch(v, tol, dx, dpay)
+                self.clinch(v, eps, dx, dpay)
             if idx == len(exiting) - 1:
                 self.settle()
             if self.emit is not None:
@@ -409,7 +380,7 @@ class _Run:
 
     def run(self) -> None:
         rounds = 0
-        while self.active and self.S > self.cfg.supply_floor:
+        while self.active and self.S > SUPPLY_FLOOR:
             rounds += 1
             if rounds > 4 * self.n + 16:
                 raise NumericalDivergence("event loop failed to terminate")
@@ -421,7 +392,7 @@ class _Run:
                     f"entry price {price} does not advance past {self.p}")
             else:
                 self.do_entry(price)
-        if not self.active and self.S > self.cfg.supply_floor:
+        if not self.active and self.S > SUPPLY_FLOOR:
             self.notes.append(f"unsold supply discarded: {self.S:.17g}")
 
     def outcome(self) -> Outcome:
@@ -430,57 +401,55 @@ class _Run:
         return Outcome(tuple(self.x), pays)
 
 
-def _single_bidder(inst: ValidatedInstance, cfg: EngineConfig) -> _Run:
-    run = _Run(inst, cfg)
-    if inst.values[0] > 0.0 and inst.supply > cfg.supply_floor:
+def _single_bidder(inst: ValidatedInstance) -> _Run:
+    run = _Run(inst)
+    if inst.values[0] > 0.0 and inst.supply > SUPPLY_FLOOR:
         run.x[0] = inst.supply
         run.S = 0.0
         run.p = inst.values[0]
         run.active = set()
         run.notes.append("single-bidder outcome by the discrete-auction limit "
                          "(the differential clinching condition is vacuous for n=1)")
-    elif inst.supply > cfg.supply_floor:
+    elif inst.supply > SUPPLY_FLOOR:
         run.notes.append(f"unsold supply discarded: {run.S:.17g}")
     return run
 
 
-def _execute(inst, cfg: EngineConfig, emit=None) -> _Run:
+def _execute(inst, emit=None) -> _Run:
     vinst = _ensure_validated(inst)
     if vinst.n == 1:
-        return _single_bidder(vinst, cfg)
-    run = _Run(vinst, cfg, emit)
+        return _single_bidder(vinst)
+    run = _Run(vinst, emit)
     run.run()
     return run
 
 
-def solve(inst, config: EngineConfig = DEFAULT_CONFIG) -> Outcome:
+def solve(inst) -> Outcome:
     """Final allocation and payments of the auction for this instance."""
-    return _execute(inst, config).outcome()
+    return _execute(inst).outcome()
 
 
-def run_trace(inst, on_event, config: EngineConfig = DEFAULT_CONFIG
-              ) -> tuple[PriceState, Outcome, tuple[str, ...]]:
+def run_trace(inst, on_event) -> tuple[PriceState, Outcome, tuple[str, ...]]:
     """Run the auction, handing each `Event` to `on_event` as it happens.
 
     Returns the final state, the outcome (exactly `solve`'s) and the notes.
     No event is retained; if the run raises, `on_event` has seen every event
     before the failure.
     """
-    run = _execute(inst, config, on_event)
+    run = _execute(inst, on_event)
     return run.snap(run.p), run.outcome(), tuple(run.notes)
 
 
-def trace(inst, config: EngineConfig = DEFAULT_CONFIG) -> EventTrace:
+def trace(inst) -> EventTrace:
     """Full event trace: `run_trace` with the events collected."""
     vinst = _ensure_validated(inst)
     events: list[Event] = []
-    final, outcome, notes = run_trace(vinst, events.append, config)
+    final, outcome, notes = run_trace(vinst, events.append)
     return EventTrace(vinst.values, vinst.budgets, vinst.supply, tuple(events),
                       final, outcome, notes)
 
 
-def next_event_price(state: PriceState, config: EngineConfig = DEFAULT_CONFIG
-                     ) -> tuple[float, str]:
+def next_event_price(state: PriceState) -> tuple[float, str]:
     """Price and kind of the next event from this snapshot.
 
     Ties between an entry and an exit within tolerance resolve to the exit;
@@ -488,11 +457,10 @@ def next_event_price(state: PriceState, config: EngineConfig = DEFAULT_CONFIG
     """
     if not state.active:
         raise NoActivePlayers("no active players at this state")
-    return _Run.resume(state, config).next_event()
+    return _Run.resume(state).next_event()
 
 
-def evolve(state: PriceState, p_new: float, config: EngineConfig = DEFAULT_CONFIG
-           ) -> PriceState:
+def evolve(state: PriceState, p_new: float) -> PriceState:
     """Evolve the snapshot along the closed form to price p_new.
 
     Requires that no event lies strictly inside (price, p_new); violations
@@ -502,28 +470,32 @@ def evolve(state: PriceState, p_new: float, config: EngineConfig = DEFAULT_CONFI
         raise ValueError(f"cannot evolve backwards: {p_new} < {state.price}")
     if state.active:
         v_next = min(state.values[i] for i in state.active)
-        if p_new > v_next + _money_tol(config, v_next):
+        if p_new > v_next + tol(v_next):
             raise EventSkipped(f"price {p_new} passes the exit at {v_next}")
     x, B = list(state.allocation), list(state.budgets)
-    S = _segment_advance(state.price, p_new, x, B, state.supply, state.clinching)
+    S, k = state.supply, len(state.clinching)
+    if k and p_new != state.price:
+        S, gain, db = _segment(state.price, p_new, S, k)
+        for i in state.clinching:
+            x[i] += gain
+            B[i] += db
     out = PriceState(p_new, tuple(x), tuple(B), S, state.active,
                      state.clinching, state.values)
     outsiders = state.active - state.clinching
     if state.clinching and outsiders:
         m = max(B[i] for i in outsiders)
         bstar = max(B[i] for i in state.clinching)
-        if bstar < m and not close(bstar, m, config.rel_tol):
+        if bstar < m and not close(bstar, m):
             raise EventSkipped(
                 f"clinching budgets fell below an outsider budget inside the step "
                 f"({bstar} < {m}): an entry event was skipped")
     return out
 
 
-def exit_step(state: PriceState, value: float,
-              config: EngineConfig = DEFAULT_CONFIG) -> PriceState:
+def exit_step(state: PriceState, value: float) -> PriceState:
     """Apply the discrete exit procedure at `value` to a left-limit snapshot,
     where `value` is the lowest value among the active players."""
-    run = _Run.resume(state, config)
+    run = _Run.resume(state)
     run.p = value
     if not state.active or run.lowest_value() != value:
         raise ValueError(f"{value} is not the lowest value of an active player")
@@ -547,16 +519,14 @@ def initial_state(inst) -> PriceState:
                       active, frozenset(), vinst.values)
 
 
-def left_limit(tr: EventTrace, k: int, config: EngineConfig = DEFAULT_CONFIG
-               ) -> PriceState:
+def left_limit(tr: EventTrace, k: int) -> PriceState:
     """The state just before event k: the state after event k-1 (the initial
     state for k = 0) evolved to event k's price."""
     prev = tr.events[k - 1].after if k else initial_state(tr)
-    return evolve(prev, tr.events[k].price, config)
+    return evolve(prev, tr.events[k].price)
 
 
-def state_at(tr: EventTrace, p: float, config: EngineConfig = DEFAULT_CONFIG
-             ) -> PriceState:
+def state_at(tr: EventTrace, p: float) -> PriceState:
     """Right-continuous snapshot of a traced run at an arbitrary price."""
     if p < 0.0:
         raise ValueError("price must be non-negative")
@@ -576,4 +546,4 @@ def state_at(tr: EventTrace, p: float, config: EngineConfig = DEFAULT_CONFIG
     if last == len(tr.events) - 1:
         # beyond the final event the run is over; the state stays frozen
         return replace(base, price=p)
-    return evolve(base, p, config)
+    return evolve(base, p)

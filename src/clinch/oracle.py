@@ -59,8 +59,7 @@ def _count_flips(flips: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
 class _Walk:
     """Mutable state of one Euler integration."""
 
-    def __init__(self, vinst: ValidatedInstance, h: float, factor: float,
-                 floor: float):
+    def __init__(self, vinst: ValidatedInstance, h: float):
         self.values = np.asarray(vinst.values, dtype=float)
         self.B0 = np.asarray(vinst.budgets, dtype=float)
         self.B = self.B0.copy()
@@ -70,9 +69,8 @@ class _Walk:
         self.clinch = np.zeros(vinst.n, dtype=bool)
         self.armed = np.zeros(vinst.n, dtype=bool)
         self.h = h
-        self.thresh = factor * h
+        self.thresh = MEMBERSHIP_FACTOR * h
         self.band = self.thresh
-        self.floor = floor
 
     def admit(self, g_admitted: np.ndarray) -> None:
         """Stretch the retention band over the defects actually admitted."""
@@ -97,14 +95,14 @@ class _Walk:
 
     def interval(self, p_lo: float, p_hi: float) -> None:
         """Integrate over [p_lo, p_hi), the active set being constant there."""
-        h, thresh, floor = self.h, self.thresh, self.floor
+        h, thresh = self.h, self.thresh
         n = self.B.shape[0]
         aidx = np.flatnonzero(self.act)
         flips = np.zeros(n, dtype=int)
         self.clinch &= self.act
         n_full = max(0, math.ceil((p_hi - p_lo) / h) - 1)
         t = 0
-        while t < n_full and self.S > floor:
+        while t < n_full and self.S > SUPPLY_FLOOR:
             m = min(_CHUNK, n_full - t)
             p_ts = p_lo + h * (t + np.arange(m))
             cidx = np.flatnonzero(self.clinch)
@@ -142,7 +140,7 @@ class _Walk:
             csp[0] = 0.0
             np.cumsum(sseq[:m] / p_ts, out=csp[1:])
 
-            exhausted = sseq <= floor
+            exhausted = sseq <= SUPPLY_FLOOR
             stop = int(np.argmax(exhausted)) if exhausted.any() else m + 1
             isc = self.clinch[aidx]
             tot0 = float(self.B[aidx].sum())
@@ -164,7 +162,7 @@ class _Walk:
             self.S = float(sseq[limit])
             t += limit
             self.armed[aidx] |= armed[:, min(limit, m - 1)]
-            if self.S <= floor:
+            if self.S <= SUPPLY_FLOOR:
                 return
             if flip_t < m and flip_t <= stop:
                 new_rows = np.where(isc, keep_ok[:, flip_t], join[:, flip_t])
@@ -183,7 +181,7 @@ class _Walk:
                         self.B[cidx] -= h * self.S
                         self.S *= 1.0 - cidx.size * h / p_here
                     t += 1
-        if self.S <= floor:
+        if self.S <= SUPPLY_FLOOR:
             return
         p_last = p_lo + n_full * h
         step = p_hi - p_last
@@ -222,21 +220,20 @@ class _Walk:
             self.S = max(self.S - float(d.sum()), 0.0)
 
 
-def solve_euler(inst, h: float, *, membership_factor: float = MEMBERSHIP_FACTOR,
-                supply_floor: float = SUPPLY_FLOOR) -> Outcome:
+def solve_euler(inst, h: float) -> Outcome:
     """Terminal outcome of the forward-Euler walk with price step h."""
     vinst = inst if isinstance(inst, ValidatedInstance) else validate_instance(inst)
     if h <= 0.0:
         raise ValueError("step h must be positive")
     if vinst.n < 2:
         raise ValueError("the integration oracle needs at least two players")
-    walk = _Walk(vinst, h, membership_factor, supply_floor)
+    walk = _Walk(vinst, h)
     p_lo = 0.0
     for v_b in np.unique(walk.values[walk.act]):
-        if walk.S <= supply_floor or not walk.act.any():
+        if walk.S <= SUPPLY_FLOOR or not walk.act.any():
             break
         walk.interval(p_lo, float(v_b))
-        if walk.S <= supply_floor:
+        if walk.S <= SUPPLY_FLOOR:
             break
         walk.exit_at(float(v_b))
         p_lo = float(v_b)

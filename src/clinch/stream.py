@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from . import engine
 from .core import (
-    ABS_FLOOR,
     MonotonicityViolation,
     NonPositiveIncrement,
     Outcome,
     ValidatedInstance,
+    tol,
     validate_instance,
 )
 
@@ -44,15 +44,10 @@ class SupplyStream:
     streams are fully independent.
     """
 
-    def __init__(self, values, budgets, config: engine.EngineConfig = engine.DEFAULT_CONFIG):
+    def __init__(self, values, budgets):
         self.inst = validate_instance(values=values, budgets=budgets, supply=0.0)
-        self.config = config
         self.supply = 0.0
         self.outcome = Outcome.zero(self.inst.n)
-
-    def _tol(self, *xs: float) -> float:
-        scale = max(1.0, *map(abs, xs)) if xs else 1.0
-        return max(ABS_FLOOR, self.config.rel_tol * scale)
 
     def on_supply(self, ds: float) -> DeltaOutcome:
         """Account for ds more units: re-solve and emit non-negative deltas.
@@ -68,7 +63,7 @@ class SupplyStream:
         new_supply = self.supply + ds
         inst = ValidatedInstance(self.inst.values, self.inst.budgets, new_supply,
                                  self.inst.value_order, self.inst.budget_order)
-        new = engine.solve(inst, self.config)
+        new = engine.solve(inst)
         old_u = self.utility_snapshot()
         dx = self._delta(self.outcome.allocation, new.allocation)
         dp = self._delta(self.outcome.payments, new.payments)
@@ -76,7 +71,7 @@ class SupplyStream:
         self.outcome = new
         new_u = self.utility_snapshot()
         for i, (a, b) in enumerate(zip(old_u, new_u)):
-            if b < a - self._tol(a, b):
+            if b < a - tol(a, b):
                 raise MonotonicityViolation(
                     f"utility of player {i} fell from {a} to {b} as supply grew")
         return DeltaOutcome(dx, dp, new_supply)
@@ -84,11 +79,11 @@ class SupplyStream:
     def _delta(self, old: tuple, new: tuple) -> tuple[float, ...]:
         out = []
         for i, (a, b) in enumerate(zip(old, new)):
-            d = b - a
-            if d < -self._tol(a, b):
+            d, eps = b - a, tol(a, b)
+            if d < -eps:
                 raise MonotonicityViolation(
                     f"component {i} fell from {a} to {b} as supply grew")
-            out.append(d if abs(d) > self._tol(a, b) else 0.0)
+            out.append(d if abs(d) > eps else 0.0)
         return tuple(out)
 
     def utility_snapshot(self) -> tuple[float, ...]:
@@ -97,7 +92,6 @@ class SupplyStream:
                      - self.outcome.payments[i] for i in range(self.inst.n))
 
 
-def init_stream(values, budgets, config: engine.EngineConfig = engine.DEFAULT_CONFIG
-                ) -> SupplyStream:
+def init_stream(values, budgets) -> SupplyStream:
     """Fresh stream at zero cumulative supply."""
-    return SupplyStream(values, budgets, config)
+    return SupplyStream(values, budgets)

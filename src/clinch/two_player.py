@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import engine
-from .core import ABS_FLOOR, OnRegimeBoundary, Outcome, validate_instance
+from .core import OnRegimeBoundary, Outcome, tol, validate_instance
 
 
 class Regime(str, enum.Enum):
@@ -67,8 +67,7 @@ def _classify(v1: float, v2: float, b1: float, b2: float, s: float) -> Regime:
     return Regime.V1_HIGH_DISCOUNT if spend >= b2 else Regime.V1_HIGH_VCG
 
 
-def solve_n2(v1: float, v2: float, b1: float, b2: float, s: float,
-             config: engine.EngineConfig = engine.DEFAULT_CONFIG
+def solve_n2(v1: float, v2: float, b1: float, b2: float, s: float
              ) -> tuple[Outcome, RegimeLabel]:
     """Closed-form outcome for two bidders, with the regime that produced it.
 
@@ -85,7 +84,7 @@ def solve_n2(v1: float, v2: float, b1: float, b2: float, s: float,
     if swap:
         v1, v2, b1, b2 = v2, v1, b2, b1
     if b2 <= 0.0 or min(v1, v2) <= 0.0:
-        return engine.solve(inst, config), RegimeLabel(Regime.DEGENERATE, math.inf)
+        return engine.solve(inst), RegimeLabel(Regime.DEGENERATE, math.inf)
 
     regime = _classify(v1, v2, b1, b2, s)
     knee = _knee(b1, b2)
@@ -115,8 +114,7 @@ def solve_n2(v1: float, v2: float, b1: float, b2: float, s: float,
     return Outcome(x, pay), RegimeLabel(regime, knee)
 
 
-def marginal_rates_n2(v1: float, v2: float, b1: float, b2: float, s: float,
-                      config: engine.EngineConfig = engine.DEFAULT_CONFIG
+def marginal_rates_n2(v1: float, v2: float, b1: float, b2: float, s: float
                       ) -> tuple[tuple[float, float], tuple[float, float], RegimeLabel]:
     """Per-unit-of-supply rates (dx/ds, dpay/ds) inside one regime.
 
@@ -136,10 +134,9 @@ def marginal_rates_n2(v1: float, v2: float, b1: float, b2: float, s: float,
 
     spend = s * min(v1, v2)
     knee = _knee(b1, b2)
-    tol = max(ABS_FLOOR, config.rel_tol * max(1.0, spend, b2))
-    if abs(spend - b2) <= tol:
+    if abs(spend - b2) <= tol(spend, b2):
         raise OnRegimeBoundary(f"spend level {spend} sits on the budget boundary {b2}")
-    if math.isfinite(knee) and abs(spend - knee) <= max(tol, config.rel_tol * knee):
+    if math.isfinite(knee) and abs(spend - knee) <= tol(spend, b2, knee):
         raise OnRegimeBoundary(f"spend level {spend} sits on the split boundary {knee}")
 
     regime = _classify(v1, v2, b1, b2, s)

@@ -9,6 +9,7 @@ track the engine; it pins the behaviour the engine was checked against.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from clinch.core import (
     ABS_FLOOR,
@@ -25,7 +26,17 @@ from clinch.core import (
     close,
     validate_instance,
 )
-from clinch.engine import DEFAULT_CONFIG, EngineConfig
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Numerical knobs: relative tolerance and supply-exhaustion floor."""
+
+    rel_tol: float = 1e-9
+    supply_floor: float = 1e-12
+
+
+DEFAULT_CONFIG = EngineConfig()
 
 
 def _ensure_validated(inst) -> ValidatedInstance:

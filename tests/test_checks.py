@@ -82,8 +82,8 @@ class TestIncentives:
         assert rep.passed and rep.worst_violation <= 1e-6
 
     def test_corrupted_solver_caught(self):
-        def rounding(inst, config=engine.DEFAULT_CONFIG):
-            out = engine.solve(inst, config)
+        def rounding(inst):
+            out = engine.solve(inst)
             return Outcome(tuple(round(x, 1) for x in out.allocation), out.payments)
         rep = check_ic(SHOWCASE, solver=rounding)
         assert not rep.passed

@@ -231,3 +231,26 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--property", "monotone",
                          "--corpus", "count=8,pairs=2")
         assert code == 0
+
+    # --tolerance is the property's slack and nothing else: a looser slack
+    # cannot turn a pass into a failure by loosening the engine's ties
+    CORPUS = ("--corpus", "count=200", "--seed", "3")
+
+    def test_loose_slack_leaves_the_monotone_outcomes_alone(self, capsys):
+        code, out, _ = run(capsys, "check", "--property", "monotone", *self.CORPUS)
+        assert code == 0
+        code, loose, _ = run(capsys, "check", "--property", "monotone", *self.CORPUS,
+                             "--tolerance", "1e-3")
+        assert code == 0
+        assert (json.loads(loose)[0]["worst_violation"]
+                == json.loads(out)[0]["worst_violation"])
+
+    def test_loose_slack_leaves_the_ir_outcomes_alone(self, capsys):
+        code, _, err = run(capsys, "check", "--property", "ir", *self.CORPUS,
+                           "--tolerance", "0.05")
+        assert code == 0, err
+
+    def test_tolerance_belongs_to_check_alone(self, capsys, showcase_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", showcase_file, "--tolerance", "1e-6"])
+        assert exc.value.code == 2

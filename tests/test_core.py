@@ -6,13 +6,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from clinch import cli, core, engine
+from clinch import cli, core, engine, two_player
+from clinch.checks import stratified_two_player
 from clinch.core import (
     AuctionError,
-    AuctionInstance,
     BudgetExceeded,
     EmptyInstance,
     FloatMemo,
@@ -25,6 +25,8 @@ from clinch.core import (
     dumps,
     instance_from_json,
     instance_to_json,
+    leq,
+    tol,
     utility,
     validate_instance,
 )
@@ -69,10 +71,6 @@ class TestValidation:
         with pytest.raises(EmptyInstance):
             validate_instance(values=[], budgets=[], supply=1)
 
-    def test_accepts_auction_instance_object(self):
-        inst = validate_instance(AuctionInstance((1.0, 2.0), (1.0, 1.0), 1.0))
-        assert inst.values == (1.0, 2.0)
-
     @given(instances())
     def test_idempotent(self, inst):
         assert validate_instance(inst) == inst
@@ -94,11 +92,47 @@ class TestUtility:
             utility(inst, Outcome((1.0,), (1.5,)), 0)
 
 
+# finite doubles, with signed zeros, subnormals and magnitudes near 1e300 made
+# likely; the hex of a float is its bit pattern
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(min_value=1e299, max_value=1e301))
+
+
 class TestTolerance:
     def test_close_scales_with_magnitude(self):
         assert close(1e12, 1e12 * (1 + 1e-10))
         assert not close(1.0, 1.0 + 1e-6)
         assert close(0.0, 1e-13)
+
+    @settings(max_examples=500)
+    @given(FINITE, FINITE, FINITE, st.sampled_from([1e-18, 1e-9, 1e-8, 1e-3]))
+    @example(1e-9, 0.0, 0.0, 1e-9)  # a gap of exactly the band is inside it
+    def test_rule_is_the_floored_relative_formula_bit_for_bit(self, a, b, c, rel):
+        band = max(1e-12, rel * max(1.0, abs(a), abs(b)))
+        assert tol(a, b, rel=rel).hex() == band.hex()
+        assert tol(a).hex() == max(1e-12, 1e-9 * max(1.0, abs(a))).hex()
+        assert (tol(a, b, c).hex()
+                == max(1e-12, 1e-9 * max(1.0, abs(a), abs(b), abs(c))).hex())
+        assert close(a, b, rel) is (abs(a - b) <= band)
+        assert leq(a, b, rel) is (a <= b + band)
+        default = max(1e-12, 1e-9 * max(1.0, abs(a), abs(b)))
+        assert close(a, b) is (abs(a - b) <= default)
+        assert leq(a, b) is (a <= b + default)
+
+    def test_knee_band_is_the_rule_over_spend_budget_and_knee(self):
+        # marginal_rates_n2 flags the split boundary within tol(spend, b2, knee),
+        # the budget band widened to rel * knee
+        for inst in stratified_two_player(0, 3000):
+            v1, v2 = inst.values
+            b1, b2 = sorted(inst.budgets, reverse=True)
+            spend = inst.supply * min(v1, v2)
+            knee = two_player._knee(b1, b2)
+            assert math.isfinite(knee)
+            band = max(max(1e-12, 1e-9 * max(1.0, spend, b2)), 1e-9 * knee)
+            assert tol(spend, b2, knee).hex() == band.hex()
 
 
 class TestJson:
