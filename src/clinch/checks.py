@@ -17,10 +17,12 @@ from . import engine, oracle
 from .core import (
     EVENT_EXIT,
     EventTrace,
+    NonFinite,
     Outcome,
     PriceState,
     ValidatedInstance,
     check_price_state,
+    player_orders,
     tol,
     validate_instance,
 )
@@ -180,6 +182,19 @@ def misreport_grid(inst: ValidatedInstance, player: int, points: int = 50
     return grid
 
 
+def _misreported(inst: ValidatedInstance, i: int, report: float) -> ValidatedInstance:
+    """`inst` with player i's value replaced by `report`: only the new value
+    needs checking (grid points are non-negative) and only the value order
+    changes."""
+    if not report < math.inf:  # the grid over [0, 2 max v] overflowed
+        raise NonFinite(f"values contains a non-finite entry: {report!r}")
+    vals = list(inst.values)
+    vals[i] = report
+    vals = tuple(vals)
+    return ValidatedInstance(vals, inst.budgets, inst.supply,
+                             player_orders(vals, inst.budgets)[0], inst.budget_order)
+
+
 def check_ic(inst: ValidatedInstance, solver=engine.solve, points: int = 50,
              slack: float = 1e-6) -> PropertyReport:
     """No player can gain more than `slack` by any grid misreport."""
@@ -189,10 +204,7 @@ def check_ic(inst: ValidatedInstance, solver=engine.solve, points: int = 50,
     for i in range(inst.n):
         truth = inst.values[i] * base.allocation[i] - base.payments[i]
         for report in misreport_grid(inst, i, points):
-            vals = list(inst.values)
-            vals[i] = report
-            dev = solver(validate_instance(values=vals, budgets=inst.budgets,
-                                           supply=inst.supply))
+            dev = solver(_misreported(inst, i, report))
             gain = (inst.values[i] * dev.allocation[i] - dev.payments[i]) - truth
             if gain > worst:
                 worst = gain

@@ -11,9 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
-from . import engine, stream, two_player
-from .core import AuctionError, FloatMemo, Outcome, RowText, dumps, instance_from_json
+from . import engine
+from .core import (
+    AuctionError,
+    FloatMemo,
+    IdsText,
+    Outcome,
+    RowText,
+    dumps,
+    instance_from_json,
+)
 
 
 def _read_input(path: str) -> str:
@@ -44,8 +53,8 @@ def _emit_outcome(out: Outcome, args, extra: dict | None = None) -> None:
     print(dumps(doc))
 
 
-def _event_doc(ev, dx=list, dpi=list, x=list, B=list) -> dict:
-    """One `trace` line; each float row goes through its own row encoder."""
+def _event_doc(ev, dx=list, dpi=list, x=list, B=list, A=sorted, C=sorted) -> dict:
+    """One `trace` line; each float row and id set goes through its own encoder."""
     return {
         "kind": ev.kind,
         "price": ev.price,
@@ -56,8 +65,8 @@ def _event_doc(ev, dx=list, dpi=list, x=list, B=list) -> dict:
             "x": x(ev.after.allocation),
             "B": B(ev.after.budgets),
             "S": ev.after.supply,
-            "A": sorted(ev.after.active),
-            "C": sorted(ev.after.clinching),
+            "A": A(ev.after.active),
+            "C": C(ev.after.clinching),
         },
     }
 
@@ -78,13 +87,16 @@ def _cmd_trace(args) -> int:
         print(_table(rows, ("event", "price", "players", "units", "S_after")))
         print(f"outcome x={list(tr.outcome.allocation)} pi={list(tr.outcome.payments)}")
         return 0
-    # Each line is printed as its event happens.  Between events only a few
-    # entries of each row change, so each row keeps its entries' text.
+    # Each line is printed as its event happens.  An entry can change only if
+    # its player clinches after the event or is one of its players (see the
+    # `engine` docstring), so the encoders look at those entries alone.
     memo = FloatMemo()  # exited bidders keep B0 and most deltas are 0.0
-    rows = [RowText(memo) for _ in range(4)]
+    encoders = [RowText(memo) for _ in range(4)] + [IdsText(inst.n) for _ in range(2)]
 
     def emit(ev) -> None:
-        print(dumps(_event_doc(ev, *rows), memo))
+        changed = ev.after.clinching.union(ev.players)
+        print(dumps(_event_doc(ev, *[partial(enc, changed=changed) for enc in encoders]),
+                    memo))
 
     _, outcome, notes = engine.run_trace(inst, emit)
     print(dumps({"kind": "final", "x": list(outcome.allocation),
@@ -93,6 +105,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_stream(args) -> int:
+    from . import stream  # only stream needs it
+
     inst = instance_from_json(_read_input(args.input), require_supply=False)
     sup = stream.init_stream(inst.values, inst.budgets)
     for line in sys.stdin:
@@ -111,6 +125,8 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_n2(args) -> int:
+    from . import two_player  # only n2 needs it
+
     v1, v2 = args.v
     b1, b2 = args.b
     out, label = two_player.solve_n2(v1, v2, b1, b2, args.s)
@@ -192,14 +208,15 @@ def _cmd_check(args) -> int:
         reports = []
         for inst in insts:
             if args.property == "ic":
-                reports.append(checks.check_ic(inst, points=int(opts.get("points", 50)),
-                                               slack=tol or 1e-6))
+                reports.append(checks.check_ic(
+                    inst, points=int(opts.get("points", 50)),
+                    slack=1e-6 if tol is None else tol))
             elif args.property == "ir":
                 reports.append(checks.check_ir(inst, engine.solve(inst),
-                                               tol=tol or 1e-9))
+                                               tol=1e-9 if tol is None else tol))
             elif args.property == "budget":
                 reports.append(checks.check_budget(inst, engine.solve(inst),
-                                                   tol=tol or 1e-9))
+                                                   tol=1e-9 if tol is None else tol))
             elif args.property == "pareto":
                 reports.append(checks.check_pareto(
                     inst, engine.solve(inst), rng,
@@ -209,7 +226,8 @@ def _cmd_check(args) -> int:
                 pairs = [(base * rng.random(), base) for _ in
                          range(int(opts.get("pairs", 3)))]
                 reports.append(checks.check_supply_monotonicity(
-                    inst.values, inst.budgets, pairs, slack=tol or 1e-8))
+                    inst.values, inst.budgets, pairs,
+                    slack=1e-8 if tol is None else tol))
         reports = [checks.merge_reports(reports[0].name, spec.describe(), reports)]
 
     if args.format == "table":

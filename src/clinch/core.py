@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from operator import is_not
 from typing import Sequence
 
 REL_TOL = 1e-9
@@ -354,41 +353,100 @@ class RawJSON(str):
     __slots__ = ()
 
 
-class RowText:
+ROW_BLOCK = 32  # positions per cached block of a row's or a set's text
+
+
+class _BlockText:
+    """Text of a JSON list kept as the texts of its blocks of ROW_BLOCK
+    positions, so that a change at a few positions re-joins only their blocks.
+    A subclass's `block(b)` renders block b; an empty block is left out."""
+
+    __slots__ = ("blocks", "text")
+
+    def __init__(self):
+        self.blocks: list[str] = []
+        self.text = RawJSON("[]")
+
+    def rejoin(self, touched) -> RawJSON:
+        blocks = self.blocks
+        for b in touched:
+            blocks[b] = self.block(b)
+        self.text = RawJSON("[" + ", ".join(filter(None, blocks)) + "]")
+        return self.text
+
+
+class RowText(_BlockText):
     """Encoder of one float row that changes in few entries from line to line.
 
-    It keeps the text of every entry of the last row it encoded.  An entry
-    that is the same object as in that row keeps its text; the others are
-    formatted again, through the memo except exact zeros, so that -0.0
-    stays distinct.  The result equals `_encode(list(row), memo)` for every
-    all-float row.  Rows must be immutable (tuples): the last row is held
-    to compare against.
+    It is called with the row and the positions where the row may differ
+    from the last row it encoded; the first row, or one of another length,
+    is encoded whole.  At those positions an entry that is not the same
+    object as before is formatted again, through the memo except exact
+    zeros, so that -0.0 stays distinct, and only the blocks holding such
+    entries are joined again.  The result equals `_encode(list(row), memo)`
+    for every all-float row whose entries outside `changed` are those of the
+    last row.  Rows must be immutable (tuples): the last row is held to
+    compare against.
     """
 
-    __slots__ = ("memo", "row", "texts", "text")
+    __slots__ = ("memo", "row", "texts")
 
     def __init__(self, memo: FloatMemo):
+        super().__init__()
         self.memo = memo
         self.row: tuple = ()
         self.texts: list[str] = []
-        self.text = RawJSON("[]")
 
-    def __call__(self, row: tuple[float, ...]) -> RawJSON:
-        prev = self.row
+    def __call__(self, row: tuple[float, ...], changed) -> RawJSON:
+        prev, memo = self.row, self.memo
         if row is prev:
             return self.text
-        if len(row) == len(prev):
-            changed = itertools.compress(itertools.count(), map(is_not, prev, row))
-        else:
-            self.texts = [""] * len(row)
-            changed = range(len(row))
-        texts, memo = self.texts, self.memo
+        self.row = row
+        if len(row) != len(prev):
+            self.texts = [memo[x] if x else _fmt_float(x) for x in row]
+            self.blocks = [""] * -(-len(row) // ROW_BLOCK)
+            return self.rejoin(range(len(self.blocks)))
+        texts, touched = self.texts, set()
         for i in changed:
             x = row[i]
-            texts[i] = memo[x] if x else _fmt_float(x)
-        self.row = row
-        self.text = RawJSON("[" + ", ".join(texts) + "]")
-        return self.text
+            if x is not prev[i]:
+                texts[i] = memo[x] if x else _fmt_float(x)
+                touched.add(i // ROW_BLOCK)
+        return self.rejoin(touched) if touched else self.text
+
+    def block(self, b: int) -> str:
+        return ", ".join(self.texts[b * ROW_BLOCK:(b + 1) * ROW_BLOCK])
+
+
+class IdsText(_BlockText):
+    """Encoder of a set of player ids in range(n) as its sorted JSON list,
+    for sets that change in few members from line to line.
+
+    It is called with the set and the ids whose membership may have changed
+    since the last call; the first set is encoded whole.  Only the blocks of
+    ids that did change are joined again.  The result equals
+    `_encode(sorted(ids), memo)`.
+    """
+
+    __slots__ = ("n", "ids")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.ids: frozenset | None = None
+
+    def __call__(self, ids: frozenset[int], changed) -> RawJSON:
+        prev = self.ids
+        self.ids = ids
+        if prev is None:
+            self.blocks = [""] * -(-self.n // ROW_BLOCK)
+            return self.rejoin(range(len(self.blocks)))
+        touched = {i // ROW_BLOCK for i in changed if (i in ids) is not (i in prev)}
+        return self.rejoin(touched) if touched else self.text
+
+    def block(self, b: int) -> str:
+        ids = self.ids
+        return ", ".join([str(i) for i in range(b * ROW_BLOCK, (b + 1) * ROW_BLOCK) if i in ids])
 
 
 def _encode(obj, memo: FloatMemo) -> str:

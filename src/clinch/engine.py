@@ -22,7 +22,11 @@ in `validate_instance`.  A traced run hands each event to a callback as it
 happens, with one snapshot of the state after it; to take that snapshot it
 writes the k clinchers' entries back to the allocation and budget lists.
 Nothing is retained, so `run_trace` needs O(n) memory however many events
-there are; `trace` collects the events.
+there are; `trace` collects the events.  An event's rows and sets differ
+from the previous event's only at the clinchers after it and at its own
+players (a clincher leaves only by exiting, and an exit's receivers join),
+and every other entry is the same float object: `clinch trace` re-encodes
+just those entries.
 """
 from __future__ import annotations
 

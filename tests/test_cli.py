@@ -65,21 +65,36 @@ class TestSolve:
         assert code == 2 and "negative" in err
 
 
+def _run_script(lines: list[str], *argv: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter with this package on the path."""
+    src = str(Path(clinch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", "\n".join(lines), *argv],
+                          env=env, capture_output=True, text=True)
+
+
 class TestImports:
     def test_solve_never_loads_numpy(self, showcase_file):
-        script = "\n".join([
+        proc = _run_script([
             "import sys",
             "import clinch.cli",
             "assert 'numpy' not in sys.modules, 'import clinch.cli loaded numpy'",
             "assert clinch.cli.main(['solve', '--input', sys.argv[1]]) == 0",
             "assert 'numpy' not in sys.modules, 'clinch solve loaded numpy'",
-        ])
-        src = str(Path(clinch.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script, showcase_file],
-                              env=env, capture_output=True, text=True)
+        ], showcase_file)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_solve_and_trace_skip_stream_and_two_player(self, showcase_file):
+        proc = _run_script([
+            "import sys",
+            "import clinch.cli",
+            "for cmd in ('solve', 'trace'):",
+            "    assert clinch.cli.main([cmd, '--input', sys.argv[1]]) == 0",
+            "    for mod in ('clinch.stream', 'clinch.two_player'):",
+            "        assert mod not in sys.modules, f'clinch {cmd} loaded {mod}'",
+        ], showcase_file)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -249,6 +264,16 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--property", "ir", *self.CORPUS,
                            "--tolerance", "0.05")
         assert code == 0, err
+
+    def test_zero_slack_is_a_slack(self, capsys):
+        # the worst violation on this corpus is 7.1e-15: a zero slack fails
+        # it, as 1e-300 does, where a zero once stood for the default
+        for slack in ("1e-300", "0"):
+            code, out, _ = run(capsys, "check", "--property", "monotone",
+                               "--corpus", "count=100", "--seed", "1",
+                               "--tolerance", slack)
+            assert code == 1
+            assert json.loads(out)[0]["worst_violation"] > 0.0
 
     def test_tolerance_belongs_to_check_alone(self, capsys, showcase_file):
         with pytest.raises(SystemExit) as exc:

@@ -271,6 +271,25 @@ class TestEncoder:
         assert len(memo) <= 8
         assert dumps(xs[::-1], memo) == _reference_encode(xs[::-1])
 
+    @given(st.integers(1, 3 * core.ROW_BLOCK), st.data())
+    def test_row_and_id_set_encoders_match_reference(self, n, data):
+        memo = FloatMemo()
+        memo[0.0]  # as a line of only +0.0 zeros leaves it; -0.0 must not use it
+        row_text, ids_text = core.RowText(memo), core.IdsText(n)
+        row = tuple(data.draw(st.lists(_floats, min_size=n, max_size=n)))
+        ids = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+        changed = ()  # the first row and set are encoded whole
+        for _ in range(data.draw(st.integers(1, 6))):
+            assert row_text(row, changed) == _reference_encode(row)
+            assert ids_text(ids, changed) == _reference_encode(sorted(ids))
+            # the next row and set differ from these at `changed` alone
+            changed = data.draw(st.sets(st.integers(0, n - 1), max_size=8))
+            new = list(row)
+            for i in changed:
+                new[i] = data.draw(st.one_of(st.just(-0.0), _floats))
+            row = tuple(new)
+            ids = ids ^ frozenset(i for i in changed if data.draw(st.booleans()))
+
     def test_trace_lines_match_reference_encoding(self, tmp_path, capsys):
         rnd = random.Random(64)
         n = 64
@@ -291,6 +310,21 @@ class TestEncoder:
         values, budgets, supply = doc
         inst = validate_instance(values=values, budgets=budgets, supply=supply)
         code, lines = _trace_stdout(inst, tmp_path_factory.getbasetemp() / "small.json")
+        want = _reference_trace_lines(inst)
+        assert lines == want
+        assert code == (0 if want and json.loads(want[-1])["kind"] == "final" else 2)
+
+    @settings(max_examples=60)
+    @given(st.one_of(st.sampled_from([core.ROW_BLOCK - 1, core.ROW_BLOCK, core.ROW_BLOCK + 1,
+                                      2 * core.ROW_BLOCK + 1]),
+                     st.integers(1, 100)).flatmap(_small_instances))
+    def test_trace_lines_match_reference_encoding_across_blocks(
+            self, tmp_path_factory, doc):
+        # rows and id sets longer than one cached block, so that the entries
+        # changed by one event can fall in different blocks
+        values, budgets, supply = doc
+        inst = validate_instance(values=values, budgets=budgets, supply=supply)
+        code, lines = _trace_stdout(inst, tmp_path_factory.getbasetemp() / "blocks.json")
         want = _reference_trace_lines(inst)
         assert lines == want
         assert code == (0 if want and json.loads(want[-1])["kind"] == "final" else 2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from clinch.core import (
+    AuctionError,
     EVENT_CLINCH_ENTRY,
     EVENT_EXIT,
     EventSkipped,
@@ -28,6 +29,7 @@ from clinch.checks import verify_trace
 from clinch.core import validate_instance
 
 from conftest import instances, outcome_close
+from test_engine_reference import CORPORA
 
 SHOWCASE = validate_instance(values=[9, 10, 11, 5.7], budgets=[3, 2, 1, 0.5],
                              supply=1)
@@ -144,6 +146,46 @@ class TestTrace:
             tr = trace(inst)
             assert outcome == solve(inst) == tr.outcome
             assert (final, notes) == (tr.final, tr.notes)
+
+
+def _events_until_done_or_raised(inst) -> list:
+    events = []
+    try:
+        run_trace(inst, events.append)
+    except AuctionError:
+        pass
+    return events
+
+
+def _entries_moved_elsewhere(prev, ev) -> set:
+    """Row entries and set members that change from event `prev` to `ev`
+    away from the clinchers after `ev` and the players of `ev`.  (The
+    clinchers before `ev` are among those: a clincher leaves the clinching
+    set only by exiting.)"""
+    may_change = ev.after.clinching | set(ev.players)
+    moved = set()
+    for rows in ((prev.delta_x, ev.delta_x), (prev.delta_pay, ev.delta_pay),
+                 (prev.after.allocation, ev.after.allocation),
+                 (prev.after.budgets, ev.after.budgets)):
+        moved.update(i for i, (a, b) in enumerate(zip(*rows)) if a is not b)
+    moved |= prev.after.active ^ ev.after.active
+    moved |= prev.after.clinching ^ ev.after.clinching
+    return moved - may_change
+
+
+@pytest.mark.parametrize("name", ["property-0", "wide-budgets", "stratified-0", "degenerate"])
+def test_snapshots_change_only_at_clinchers_and_players(name):
+    """`clinch trace` re-encodes a row entry only when its player clinches
+    after the event or is one of its players: every other entry must be the
+    same object as on the previous line, and every other player keep its
+    membership of A and C."""
+    pairs = 0
+    for inst in CORPORA[name]():
+        events = _events_until_done_or_raised(inst)
+        for prev, ev in zip(events, events[1:]):
+            assert not _entries_moved_elsewhere(prev, ev), (inst, prev, ev)
+            pairs += 1
+    assert pairs > 0
 
 
 class TestNextEventPrice:
