@@ -171,7 +171,10 @@ def misreport_grid(inst: ValidatedInstance, player: int, points: int = 50
                    ) -> list[float]:
     """Candidate misreports: an even grid over [0, 2 max v] plus every
     opponent value nudged one tolerance-width to either side (the only
-    discontinuity candidates)."""
+    discontinuity candidates).  The even grid needs both of its ends, so
+    `points` must be at least 2."""
+    if points < 2:
+        raise ValueError(f"misreport grid needs points >= 2, got {points}")
     top = 2.0 * max(inst.values)
     grid = [top * k / (points - 1) for k in range(points)]
     for j, v in enumerate(inst.values):
@@ -281,65 +284,81 @@ def _search_improvement(inst: ValidatedInstance, outcome: Outcome,
     every bidder and the seller with one strict gain beyond `margin`.
     Payments may go negative (the comparison class allows compensating a
     bidder for giving up goods); only pay' <= budget is required.
+
+    Draw order is part of the result: `clinch check` shares one generator
+    across its whole corpus, so the draws of one call decide the candidates
+    of every later instance.  When supply is unsold, the first candidates
+    sell it to each positive-value bidder in turn and take no draws.  Then,
+    for k in range(`candidates`), an even k with some trade pair (i, j) is
+    a trade: one `rng.random()` for its size and, only when the size is
+    positive, a second for its charge.  Every other k is a perturbation:
+    one `rng.normal(0.0, 0.1, n)` for the allocation, then one for the
+    payments.  The draws are taken one candidate at a time (ziggurat
+    normals use a variable number of words, so the stream cannot be drawn
+    in bulk); the candidates are then tested as rows of one matrix, and
+    the result is the first row, in draw order, with the largest strict
+    gain.
     """
     n = inst.n
-    v = np.asarray(inst.values)
-    b = np.asarray(inst.budgets)
-    x0 = np.asarray(outcome.allocation)
-    p0 = np.asarray(outcome.payments)
-    u0 = v * x0 - p0
+    v = np.array(inst.values, dtype=float)
+    b = np.array(inst.budgets, dtype=float)
+    x0 = np.array(outcome.allocation, dtype=float)
+    p0 = np.array(outcome.payments, dtype=float)
+    vs, bs, xs, ps = v.tolist(), b.tolist(), x0.tolist(), p0.tolist()
     eps = 1e-12
 
-    best_gain, best = 0.0, None
-
-    def consider(x1: np.ndarray, p1: np.ndarray, label: str) -> None:
-        nonlocal best_gain, best
-        if (x1 < -eps).any() or x1.sum() > inst.supply + eps:
-            return
-        if (p1 > b + eps).any():
-            return
-        u1 = v * x1 - p1
-        gains = np.concatenate([u1 - u0, [p1.sum() - p0.sum()]])
-        if (gains < -eps).any():
-            return
-        strict = float(gains.max())
-        if strict > max(best_gain, margin):
-            best_gain = strict
-            best = {"kind": label, "x": x1.tolist(), "pay": p1.tolist(),
-                    "gain": strict}
-
     unsold = inst.supply - float(x0.sum())
-    if unsold > 0.0:
-        for i in range(n):
-            if v[i] > 0.0:
-                x1 = x0.copy()
-                x1[i] += unsold
-                consider(x1, p0.copy(), "sell unsold supply")
-
+    sellers = [i for i in range(n) if vs[i] > 0.0] if unsold > 0.0 else []
+    labels = ["sell unsold supply"] * len(sellers)
+    trades, noise = [], []  # (row, i, j, size, charge), (row, x noise, pay noise)
     pairs = [(i, j) for i in range(n) for j in range(n)
-             if i != j and v[i] > v[j] and x0[j] > 0.0]
+             if i != j and vs[i] > vs[j] and xs[j] > 0.0]
     for k in range(candidates):
         if pairs and k % 2 == 0:
             i, j = pairs[k // 2 % len(pairs)]
-            size = min(x0[j], (b[i] - p0[i]) / max(v[i], eps)) * rng.random()
+            size = min(xs[j], (bs[i] - ps[i]) / max(vs[i], eps)) * rng.random()
             if size <= 0.0:
                 continue
-            x1 = x0.copy()
-            x1[i] += size
-            x1[j] -= size
-            p1 = p0.copy()
-            charge = size * (v[j] + (v[i] - v[j]) * rng.random())
-            p1[i] += charge
-            p1[j] -= size * v[j]
-            consider(x1, p1, "pairwise trade with compensation")
+            charge = size * (vs[j] + (vs[i] - vs[j]) * rng.random())
+            trades.append((len(labels), i, j, size, charge))
+            labels.append("pairwise trade with compensation")
         else:
-            x1 = np.maximum(x0 + rng.normal(0.0, 0.1, n) * max(1.0, inst.supply), 0.0)
-            total = x1.sum()
-            if total > inst.supply:
-                x1 *= inst.supply / total
-            p1 = p0 + rng.normal(0.0, 0.1, n) * np.maximum(1.0, b)
-            consider(x1, np.minimum(p1, b), "random perturbation")
-    return best_gain, best
+            noise.append((len(labels), rng.normal(0.0, 0.1, n), rng.normal(0.0, 0.1, n)))
+            labels.append("random perturbation")
+
+    x1 = np.tile(x0, (len(labels), 1))
+    p1 = np.tile(p0, (len(labels), 1))
+    x1[range(len(sellers)), sellers] += unsold
+    if trades:
+        rows, i, j, size, charge = map(np.array, zip(*trades))
+        x1[rows, i] += size
+        x1[rows, j] -= size
+        p1[rows, i] += charge
+        p1[rows, j] -= size * v[j]
+    if noise:
+        rows, dx, dp = zip(*noise)
+        xn = np.maximum(x0 + np.array(dx) * max(1.0, inst.supply), 0.0)
+        total = xn.sum(axis=1)
+        over = total > inst.supply
+        xn[over] *= (inst.supply / total[over])[:, None]
+        x1[rows, :] = xn
+        p1[rows, :] = np.minimum(p0 + np.array(dp) * np.maximum(1.0, b), b)
+
+    gains = np.empty((len(labels), n + 1))
+    gains[:, :n] = (v * x1 - p1) - (v * x0 - p0)
+    gains[:, n] = p1.sum(axis=1) - p0.sum()
+    strict = gains.max(axis=1)
+    hits = np.flatnonzero(~(x1 < -eps).any(axis=1)
+                          & ~(x1.sum(axis=1) > inst.supply + eps)
+                          & ~(p1 > b + eps).any(axis=1)
+                          & ~(gains < -eps).any(axis=1)
+                          & (strict > max(0.0, margin)))
+    if not hits.size:
+        return 0.0, None
+    r = hits[np.argmax(strict[hits])]  # argmax keeps the first of tied rows
+    gain = float(strict[r])
+    return gain, {"kind": labels[r], "x": x1[r].tolist(), "pay": p1[r].tolist(),
+                  "gain": gain}
 
 
 def check_pareto(inst: ValidatedInstance, outcome: Outcome,
@@ -350,6 +369,12 @@ def check_pareto(inst: ValidatedInstance, outcome: Outcome,
     Fails when either the trade characterization or the direct randomized
     search flags the outcome.  The `details` tuple carries the two
     sub-verdicts so that disagreement between them is visible to callers.
+
+    The search draws its candidates from `rng` in the order that
+    `_search_improvement` documents.  `clinch check` passes one generator
+    to every instance of its corpus, so each instance's candidates depend
+    on the calls before it; without `rng` every call starts from
+    `default_rng(0)`.
     """
     rng = rng or np.random.default_rng(0)
     char_viol, char_msg = _characterization_violation(inst, outcome, tol)

@@ -79,13 +79,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_trace(args) -> int:
     inst = instance_from_json(_read_input(args.input))
-    if args.format == "table":  # the column widths need every row
-        tr = engine.trace(inst)
-        rows = [(ev.kind, format(ev.price, ".12g"), ",".join(map(str, ev.players)),
-                 format(sum(ev.delta_x), ".12g"), format(ev.after.supply, ".12g"))
-                for ev in tr.events]
+    if args.format == "table":  # the widths need every row: keep its cells, not the event
+        rows = []
+        _, outcome, _ = engine.run_trace(inst, lambda ev: rows.append((
+            ev.kind, format(ev.price, ".12g"), ",".join(map(str, ev.players)),
+            format(sum(ev.delta_x), ".12g"), format(ev.after.supply, ".12g"))))
         print(_table(rows, ("event", "price", "players", "units", "S_after")))
-        print(f"outcome x={list(tr.outcome.allocation)} pi={list(tr.outcome.payments)}")
+        print(f"outcome x={list(outcome.allocation)} pi={list(outcome.payments)}")
         return 0
     # Each line is printed as its event happens.  An entry can change only if
     # its player clinches after the event or is one of its players (see the
@@ -189,6 +189,8 @@ def _cmd_check(args) -> int:
     opts = dict(_CHECK_DEFAULTS[args.property])
     opts.update(_parse_corpus(args.corpus))
     count = int(opts.get("count", 100))
+    if count < 1:
+        raise ValueError(f"--corpus count must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance
 

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import reference_pareto
 from clinch import engine
 from clinch.core import Outcome, validate_instance
 from clinch.checks import (
@@ -13,8 +15,10 @@ from clinch.checks import (
     check_pareto,
     check_supply_monotonicity,
     merge_reports,
+    _search_improvement,
     misreport_grid,
     oracle_corpus,
+    property_corpus,
     random_instances,
     stratified_two_player,
     verify_trace,
@@ -77,6 +81,12 @@ class TestIncentives:
         assert len(grid) == 10 + 2 * 3
         assert any(abs(g - 5.7) < 1e-8 and g != 5.7 for g in grid)
 
+    @pytest.mark.parametrize("points", [-1, 0, 1])
+    def test_grid_needs_both_ends(self, points):
+        with pytest.raises(ValueError, match="points"):
+            misreport_grid(SHOWCASE, 0, points=points)
+        assert len(misreport_grid(SHOWCASE, 0, points=2)) == 2 + 2 * 3
+
     def test_truthful_engine_passes(self):
         rep = check_ic(SHOWCASE)
         assert rep.passed and rep.worst_violation <= 1e-6
@@ -129,6 +139,69 @@ class TestPareto:
     def test_checkers_agree_on_engine_outcomes(self, inst):
         rep = check_pareto(inst, engine.solve(inst), candidates=200)
         assert rep.passed, rep.details
+
+
+def _floats_repr(obj):
+    """`repr` of every float inside a (gain, witness) result, so that -0.0
+    and 0.0, or two floats that compare equal, cannot pass for each other."""
+    if isinstance(obj, dict):
+        return {k: _floats_repr(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_floats_repr(v) for v in obj]
+    return repr(obj)
+
+
+def _lowest_value_holds_all(inst):
+    """All supply to the lowest-value bidder, for nothing."""
+    low = min(range(inst.n), key=inst.values.__getitem__)
+    x = [0.0] * inst.n
+    x[low] = inst.supply
+    return Outcome(tuple(x), (0.0,) * inst.n)
+
+
+def _edge_cases():
+    one = validate_instance(values=[2.0], budgets=[1.0], supply=3.0)
+    zero_values = validate_instance(values=[0.0, 0.0, 0.0], budgets=[1, 2, 3], supply=2)
+    zero_supply = validate_instance(values=[3.0, 1.0], budgets=[1.0, 1.0], supply=0.0)
+    no_pair = validate_instance(values=[4.0, 4.0, 1.0], budgets=[1, 1, 1], supply=2)
+    tied = validate_instance(values=[2.0, 5.0, 5.0, 5.0], budgets=[1, 1, 1, 1], supply=1)
+    cases = [(one, engine.solve(one)), (one, Outcome((1.0,), (0.0,))),
+             (zero_values, engine.solve(zero_values)),
+             (zero_values, _lowest_value_holds_all(zero_values)),
+             (zero_supply, engine.solve(zero_supply)),
+             # the holders of goods have the top value: no trade pair
+             (no_pair, Outcome((1.0, 0.5, 0.0), (0.5, 0.0, 0.0))),
+             # equal-value sellers tie on the gain of selling the unsold unit
+             (tied, Outcome((0.0,) * 4, (0.0,) * 4)),
+             (tied, Outcome((0.5, 0.0, 0.0, 0.0), (0.0,) * 4))]
+    for inst in random_instances(property_corpus(5, 10)):
+        cases += [(inst, engine.solve(inst)), (inst, _lowest_value_holds_all(inst))]
+    return cases
+
+
+def test_array_search_matches_the_per_candidate_loop():
+    # one generator across every call, as `clinch check` shares one across
+    # its corpus: a draw taken out of order shifts every later candidate
+    insts = random_instances(property_corpus(0, 300))
+    outcomes = [engine.solve(inst) for inst in insts]
+    # 200 candidates a call keep the frozen loop's share of the suite small
+    calls = [(inst, out, 200) for inst, out in zip(insts, outcomes)]
+    calls += [(inst, Outcome(tuple(x / 2 for x in out.allocation), out.payments), 200)
+              for inst, out in zip(insts, outcomes)]
+    calls += [(inst, _lowest_value_holds_all(inst), 200) for inst in insts]
+    calls += [(inst, out, k) for inst, out in _edge_cases() for k in (0, 1, 7, 1000)]
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    kinds = set()
+    for inst, out, k in calls:
+        got = _search_improvement(inst, out, rng, k)
+        want = reference_pareto.search_improvement(inst, out, ref_rng, k)
+        assert got == want, (inst, out, k)
+        assert _floats_repr(got) == _floats_repr(want), (inst, out, k)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, (inst, out, k)
+        if want[1] is not None:
+            kinds.add(want[1]["kind"])
+    assert kinds == {"sell unsold supply", "pairwise trade with compensation",
+                     "random perturbation"}
 
 
 class TestMonotonicity:

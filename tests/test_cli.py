@@ -137,10 +137,10 @@ class TestTrace:
 
 
 class TestTraceMemory:
-    def test_trace_does_not_hold_the_whole_run(self, tmp_path):
-        # shaped like the benchmark's large traces; the JSON lines print as
-        # the events happen, so memory stays near one event's snapshot
-        # (0.5 MB) where holding every event's snapshots took 24 MB
+    @staticmethod
+    def peak_of_trace(tmp_path, *flags):
+        """Exit status and tracemalloc peak of `clinch trace` on an instance
+        shaped like the benchmark's large traces (n=512)."""
         rng = random.Random(512)
         n = 512
         path = tmp_path / "n512.json"
@@ -150,10 +150,24 @@ class TestTraceMemory:
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
-                code = main(["trace", "--input", str(path)])
+                code = main(["trace", "--input", str(path), *flags])
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+        return code, peak
+
+    def test_trace_does_not_hold_the_whole_run(self, tmp_path):
+        # the JSON lines print as the events happen, so memory stays near
+        # one event's snapshot (0.5 MB) where holding every event's
+        # snapshots took 24 MB
+        code, peak = self.peak_of_trace(tmp_path)
+        assert code == 0
+        assert peak < 2_000_000
+
+    def test_table_keeps_only_its_columns(self, tmp_path):
+        # the table keeps five short cells per event (0.4 MB), where
+        # holding every event's snapshot took 10 MB
+        code, peak = self.peak_of_trace(tmp_path, "--format", "table")
         assert code == 0
         assert peak < 2_000_000
 
@@ -274,6 +288,23 @@ class TestCheck:
                                "--tolerance", slack)
             assert code == 1
             assert json.loads(out)[0]["worst_violation"] > 0.0
+
+    @pytest.mark.parametrize("prop", ["ic", "ir", "budget", "pareto", "monotone",
+                                      "oracle"])
+    def test_empty_corpus_is_usage_error(self, capsys, prop):
+        code, out, err = run(capsys, "check", "--property", prop,
+                             "--corpus", "count=0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "count" in err
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_misreport_grid_without_both_ends_is_usage_error(self, capsys, points):
+        code, out, err = run(capsys, "check", "--property", "ic",
+                             "--corpus", f"count=1,points={points}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "points" in err
 
     def test_tolerance_belongs_to_check_alone(self, capsys, showcase_file):
         with pytest.raises(SystemExit) as exc:
