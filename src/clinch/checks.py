@@ -10,18 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import engine, oracle
 from .core import (
     EVENT_EXIT,
+    REL_TOL,
+    AuctionError,
     EventTrace,
     NonFinite,
     Outcome,
     PriceState,
     ValidatedInstance,
-    check_price_state,
+    close,
+    leq,
     player_orders,
     tol,
     validate_instance,
@@ -501,19 +505,75 @@ def _segment_sales(start: PriceState, rho: np.ndarray) -> np.ndarray:
     return k * s0 * (p0 / rho) ** k
 
 
+def check_price_state(state: PriceState, initial_budgets: Sequence[float],
+                      total_supply: float, rel: float = REL_TOL,
+                      clinching_subset: bool = False) -> list[str]:
+    """Return violation messages for the structural snapshot invariants.
+
+    Checks, against tolerance `rel`: the remnant-supply identity, the active
+    set bounds {i: v_i > p} <= A <= {i: v_i >= p, v_i > 0} (players with
+    v_i = p are still active at the left limit of their exit and between
+    the removals of a tied group), the supply inequality for every active
+    player, the remaining-budget profile min{B_i(0), B_*} and, when the
+    clinching set is non-empty, that it is exactly the set of active
+    max-budget players.
+
+    `clinching_subset` relaxes the last law to a subset check: at the left
+    limit of an entry price the joining player already holds the maximum
+    budget but enters the (right-continuous) set only at the price itself,
+    and a tied group's exits settle the set only after the last removal.
+    """
+    bad: list[str] = []
+    p, n, values = state.price, state.n, state.values
+    if not close(state.supply, total_supply - sum(state.allocation), rel):
+        bad.append(f"supply identity: S={state.supply} vs s-sum(x)={total_supply - sum(state.allocation)}")
+    must = frozenset(i for i in range(n) if values[i] > p)
+    may = frozenset(i for i in range(n) if values[i] >= p and values[i] > 0.0)
+    if not must <= state.active <= may:
+        bad.append(f"active set {sorted(state.active)} not between {sorted(must)} "
+                   f"and {sorted(may)}")
+    if p > 0.0:
+        for i in state.active:
+            others = sum(state.budgets[j] for j in state.active if j != i) / p
+            if not leq(state.supply, others, rel):
+                bad.append(f"supply inequality fails for player {i}: S={state.supply} > {others}")
+    bstar = state.max_budget()
+    for i in state.active:
+        want = min(initial_budgets[i], bstar)
+        if not close(state.budgets[i], want, rel):
+            bad.append(f"budget profile: B_{i}={state.budgets[i]} != min(B0, B*)={want}")
+    if state.clinching:
+        tied = frozenset(i for i in state.active if close(state.budgets[i], bstar, rel))
+        if clinching_subset:
+            if not state.clinching <= tied:
+                bad.append(f"clinching set {sorted(state.clinching)} not within "
+                           f"max-budget actives {sorted(tied)}")
+        elif state.clinching != tied:
+            bad.append(f"clinching set {sorted(state.clinching)} != max-budget actives {sorted(tied)}")
+        if not state.clinching <= state.active:
+            bad.append("clinching set not a subset of active set")
+    return bad
+
+
 def verify_trace(tr: EventTrace, rtol: float = 1e-8, samples: int = 5) -> list[str]:
     """Violation messages for every structural law along one trace.
 
-    Covers the snapshot invariants at (and between) all recorded states,
-    allocation/budget monotonicity, clinching persistence, the
-    wishful-allocation laws (monotone, continuous across exits, decrement
-    equal to the integral of B/price^2) and conservation of money against
-    the price-weighted integral of sold supply.
+    One pass over the events: the state after the previous event (or the
+    initial state) is evolved once to the event's price.  The segment up to
+    that left limit is checked at `samples` interior prices and against two
+    integral laws: the wishful decrement equals the integral of B/price^2,
+    and the money paid so far equals the price-weighted integral of sold
+    supply.  The left limit and the state after the event are visited in
+    turn (see `visit`); the wishful allocation is continuous across an exit;
+    an exit takes its players out of the active set and an entry leaves it
+    as it was.  An event that the previous state cannot be evolved to is
+    reported, and the pass goes on from the state recorded after it.
     """
     bad: list[str] = []
     inst = validate_instance(values=tr.values, budgets=tr.budgets, supply=tr.supply)
     if inst.n == 1 or not tr.events:
         return bad
+    values = tr.values
     nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
 
     def gauss(lo: float, hi: float, fvals) -> float:
@@ -527,99 +587,85 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8, samples: int = 5) -> list[s
             total += float(np.sum(weights * fvals(mid + half * nodes)) * half)
         return total
 
-    # snapshot invariants at recorded states, with the sub-step convention:
-    # a state carrying a mid-removal active set skips the set-definition check
-    first_exit_at = {}
-    for ev in tr.events:
-        first_exit_at.setdefault((ev.kind, ev.price), ev)
-    lefts = [engine.left_limit(tr, k) for k in range(len(tr.events))]
-    states = [(engine.initial_state(inst), "gt", "initial", False)]
-    for ev, left in zip(tr.events, lefts):
-        rule = "ge" if ev.kind == EVENT_EXIT else "gt"
-        if ev.kind == EVENT_EXIT and first_exit_at[(ev.kind, ev.price)] is not ev:
-            rule = "skip"
-        states.append((left, rule, f"before {ev.kind}@{ev.price:g}", True))
-        full_after = ev.after.active == frozenset(
-            i for i in range(inst.n) if tr.values[i] > ev.price)
-        states.append((ev.after, "gt" if full_after else "skip",
-                       f"after {ev.kind}@{ev.price:g}", not full_after))
-    for st, rule, label, relaxed in states:
-        for msg in check_price_state(st, tr.budgets, tr.supply, rtol, rule, relaxed):
+    def laws(st: PriceState, label: str, clinching_subset: bool = False) -> None:
+        for msg in check_price_state(st, tr.budgets, tr.supply, rtol, clinching_subset):
             bad.append(f"{label}: {msg}")
 
-    # interior of every inter-event segment
-    segs = []
-    prev = states[0][0]
-    for ev in tr.events:
-        segs.append((prev, ev.price))
-        prev = ev.after
-    for start, p_end in segs:
-        if p_end <= start.price or not start.clinching:
-            continue
-        for frac in np.linspace(0.15, 0.85, samples):
-            p = start.price + frac * (p_end - start.price)
-            st = engine.evolve(start, float(p))
-            for msg in check_price_state(st, tr.budgets, tr.supply, rtol, "gt"):
-                bad.append(f"inside segment at p={p:g}: {msg}")
-
-    # monotonicity and clinching persistence across recorded states
-    seen_clinching: set[int] = set()
-    prev_state = states[0][0]
-    prev_psi = None
-    for st, _, label, _relaxed in states[1:]:
+    def visit(st: PriceState, label: str, clinching_subset: bool = False) -> None:
+        """The snapshot laws at `st`, then monotonicity, clinching persistence
+        and the wishful allocation against the last visited state."""
+        nonlocal last
+        laws(st, label, clinching_subset)
         for i in range(inst.n):
-            if st.allocation[i] < prev_state.allocation[i] - tol(1.0, rel=rtol):
+            if st.allocation[i] < last.allocation[i] - tol(1.0, rel=rtol):
                 bad.append(f"{label}: allocation of {i} decreased")
-            if st.budgets[i] > prev_state.budgets[i] + tol(st.budgets[i], rel=rtol):
+            if st.budgets[i] > last.budgets[i] + tol(st.budgets[i], rel=rtol):
                 bad.append(f"{label}: budget of {i} increased")
-        for i in seen_clinching:
-            if tr.values[i] > st.price and i not in st.clinching:
+        for i in last.clinching - st.clinching:
+            if values[i] > st.price:
                 bad.append(f"{label}: player {i} left the clinching set early")
-        seen_clinching |= set(st.clinching)
-        seen_clinching &= {i for i in range(inst.n) if tr.values[i] > st.price}
-        if st.price > 0.0:
-            psi = wishful_allocation(st)
-            if prev_psi is not None:
-                for i in range(inst.n):
-                    if psi[i] > prev_psi[i] + tol(psi[i], rel=rtol):
-                        bad.append(f"{label}: wishful allocation of {i} increased")
-            prev_psi = psi
-        prev_state = st
-
-    # wishful allocation: continuity across exits, decrement = integral law
-    for ev, left in zip(tr.events, lefts):
-        if ev.kind == EVENT_EXIT and ev.price > 0.0:
-            pre, post = wishful_allocation(left), wishful_allocation(ev.after)
+        if st.price > 0.0 and last.price > 0.0:
+            psi, psi_last = wishful_allocation(st), wishful_allocation(last)
             for i in range(inst.n):
-                if abs(pre[i] - post[i]) > tol(pre[i], rel=rtol):
-                    bad.append(f"exit@{ev.price:g}: wishful allocation of {i} jumped "
-                               f"by {post[i] - pre[i]}")
-    for start, p_end in segs:
-        if p_end <= start.price or start.price <= 0.0:
-            continue
-        end = engine.evolve(start, p_end)
-        psi0, psi1 = wishful_allocation(start), wishful_allocation(end)
-        for i in range(inst.n):
-            drop = gauss(start.price, p_end,
-                         lambda r, i=i: _segment_budget(start, i, r) / r**2)
-            if abs((psi0[i] - psi1[i]) - drop) > tol(psi0[i], rel=rtol):
-                bad.append(f"segment from p={start.price:g}: wishful decrement of "
-                           f"{i} is {psi0[i] - psi1[i]}, integral gives {drop}")
+                if psi[i] > psi_last[i] + tol(psi[i], rel=rtol):
+                    bad.append(f"{label}: wishful allocation of {i} increased")
+        last = st
 
-    # conservation: money collected so far == integral of rho * sold supply
+    def segment(start: PriceState, end: PriceState) -> float:
+        """Check the segment from `start` to its evolved `end`; return the
+        money its clinching collected."""
+        p0, p1 = start.price, end.price
+        if p1 <= p0:
+            return 0.0
+        if start.clinching:
+            for frac in np.linspace(0.15, 0.85, samples):
+                p = p0 + frac * (p1 - p0)
+                laws(engine.evolve(start, float(p)), f"inside segment at p={p:g}")
+        if p0 > 0.0:
+            psi0, psi1 = wishful_allocation(start), wishful_allocation(end)
+            for i in range(inst.n):
+                drop = gauss(p0, p1, lambda r, i=i: _segment_budget(start, i, r) / r**2)
+                if abs((psi0[i] - psi1[i]) - drop) > tol(psi0[i], rel=rtol):
+                    bad.append(f"segment from p={p0:g}: wishful decrement of "
+                               f"{i} is {psi0[i] - psi1[i]}, integral gives {drop}")
+        if not start.clinching:
+            return 0.0
+        return gauss(p0, p1, lambda r: _segment_sales(start, r))
+
+    prev = last = engine.initial_state(inst)
+    visit(prev, "initial")
     collected = 0.0
-    for (start, p_end), ev in zip(segs, tr.events):
-        if p_end > start.price and start.clinching:
-            collected += gauss(start.price, p_end,
-                               lambda r: _segment_sales(start, r))
-        collected += sum(ev.delta_pay)
-        total_paid = sum(b0 - b for b0, b in zip(tr.budgets, ev.after.budgets))
-        if abs(total_paid - collected) > tol(collected, rel=rtol):
-            bad.append(f"after {ev.kind}@{ev.price:g}: money paid {total_paid} != "
-                       f"price-weighted sales {collected}")
+    for ev in tr.events:
+        at, after = f"{ev.kind}@{ev.price:g}", ev.after
+        total_paid = sum(b0 - b for b0, b in zip(tr.budgets, after.budgets))
+        try:
+            left = engine.evolve(prev, ev.price)
+            sold = segment(prev, left)
+        except (AuctionError, ValueError) as exc:
+            bad.append(f"before {at}: the previous state does not evolve to the "
+                       f"event: {exc}")
+            collected = total_paid
+        else:
+            visit(left, f"before {at}", True)
+            if ev.kind == EVENT_EXIT and ev.price > 0.0:
+                pre, post = wishful_allocation(left), wishful_allocation(after)
+                for i in range(inst.n):
+                    if abs(pre[i] - post[i]) > tol(pre[i], rel=rtol):
+                        bad.append(f"exit@{ev.price:g}: wishful allocation of {i} "
+                                   f"jumped by {post[i] - pre[i]}")
+            collected = collected + sold + sum(ev.delta_pay)
+            if abs(total_paid - collected) > tol(collected, rel=rtol):
+                bad.append(f"after {at}: money paid {total_paid} != "
+                           f"price-weighted sales {collected}")
+        visit(after, f"after {at}", any(values[i] <= ev.price for i in after.active))
+        want = prev.active - set(ev.players) if ev.kind == EVENT_EXIT else prev.active
+        if after.active != want:
+            bad.append(f"after {at}: active set {sorted(after.active)} != expected "
+                       f"{sorted(want)}")
+        prev = after
 
     # full allocation
-    if all(v > 0.0 for v in tr.values) and inst.n >= 2:
+    if all(v > 0.0 for v in values) and inst.n >= 2:
         if abs(sum(tr.outcome.allocation) - tr.supply) > tol(tr.supply, rel=rtol):
             bad.append(f"final allocation sums to {sum(tr.outcome.allocation)}, "
                        f"supply is {tr.supply}")

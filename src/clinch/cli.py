@@ -171,12 +171,14 @@ def _parse_corpus(text: str | None) -> dict:
     return out
 
 
+# Every --corpus key each property reads, with its default.
+_GENERATOR = dict(nmin=2, nmax=8, vmax=10.0, bmin=0.0, bmax=5.0, smax=20.0)
 _CHECK_DEFAULTS = {
-    "ic": dict(count=40, nmin=2, nmax=6),
-    "ir": dict(count=400, nmin=2, nmax=8),
-    "budget": dict(count=400, nmin=2, nmax=8),
-    "pareto": dict(count=100, nmin=2, nmax=8),
-    "monotone": dict(count=100, nmin=2, nmax=8, pairs=3),
+    "ic": dict(_GENERATOR, count=40, nmax=6, points=50),
+    "ir": dict(_GENERATOR, count=400),
+    "budget": dict(_GENERATOR, count=400),
+    "pareto": dict(_GENERATOR, count=100, candidates=1000),
+    "monotone": dict(_GENERATOR, count=100, pairs=3),
     "oracle": dict(count=40, h=1e-3),
 }
 
@@ -187,31 +189,40 @@ def _cmd_check(args) -> int:
     from . import checks
 
     opts = dict(_CHECK_DEFAULTS[args.property])
-    opts.update(_parse_corpus(args.corpus))
-    count = int(opts.get("count", 100))
+    for key, val in _parse_corpus(args.corpus).items():
+        if key not in opts:
+            raise ValueError(f"--corpus key {key!r} is not read by --property "
+                             f"{args.property}, which reads {', '.join(sorted(opts))}")
+        opts[key] = val
+    count = int(opts["count"])
     if count < 1:
         raise ValueError(f"--corpus count must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance
+    if tol is not None and not tol >= 0.0:
+        raise ValueError(f"--tolerance must be a non-negative number, got {tol}")
+    if tol is not None and args.property == "pareto":
+        raise ValueError("--tolerance does not apply to --property pareto: its "
+                         "characterization and search slacks are fixed")
 
     if args.property == "oracle":
         spec = checks.oracle_corpus(seed=args.seed, count=count)
         insts = checks.random_instances(spec)
-        reports = [checks.check_oracle_agreement(insts, h=opts.get("h", 1e-3),
-                                                 tol=tol)]
+        reports = [checks.check_oracle_agreement(insts, h=opts["h"], tol=tol)]
     else:
+        n_min, n_max = int(opts["nmin"]), int(opts["nmax"])
+        if n_min > n_max:
+            raise ValueError(f"--corpus nmin={n_min} exceeds nmax={n_max}")
         spec = checks.CorpusSpec(
-            count=count,
-            n_min=int(opts.get("nmin", 2)), n_max=int(opts.get("nmax", 8)),
-            v_max=opts.get("vmax", 10.0), b_min=opts.get("bmin", 0.0),
-            b_max=opts.get("bmax", 5.0), s_max=opts.get("smax", 20.0),
+            count=count, n_min=n_min, n_max=n_max, v_max=opts["vmax"],
+            b_min=opts["bmin"], b_max=opts["bmax"], s_max=opts["smax"],
             seed=args.seed)
         insts = checks.random_instances(spec)
         reports = []
         for inst in insts:
             if args.property == "ic":
                 reports.append(checks.check_ic(
-                    inst, points=int(opts.get("points", 50)),
+                    inst, points=int(opts["points"]),
                     slack=1e-6 if tol is None else tol))
             elif args.property == "ir":
                 reports.append(checks.check_ir(inst, engine.solve(inst),
@@ -222,11 +233,11 @@ def _cmd_check(args) -> int:
             elif args.property == "pareto":
                 reports.append(checks.check_pareto(
                     inst, engine.solve(inst), rng,
-                    candidates=int(opts.get("candidates", 1000))))
+                    candidates=int(opts["candidates"])))
             else:
                 base = inst.supply
                 pairs = [(base * rng.random(), base) for _ in
-                         range(int(opts.get("pairs", 3)))]
+                         range(int(opts["pairs"]))]
                 reports.append(checks.check_supply_monotonicity(
                     inst.values, inst.budgets, pairs,
                     slack=1e-8 if tol is None else tol))
@@ -277,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of key=value generator parameters, e.g. "
                         "count=100,nmin=2,nmax=8,vmax=10,bmax=5,smax=20")
     p.add_argument("--tolerance", type=float, default=None,
-                   help="the property's slack (default per property)")
+                   help="the property's slack (default per property); "
+                        "not for pareto")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("n2", parents=[shared],

@@ -254,61 +254,6 @@ class EventTrace:
     notes: tuple[str, ...] = ()
 
 
-def check_price_state(state: PriceState, initial_budgets: Sequence[float],
-                      total_supply: float, rel: float = REL_TOL,
-                      active_rule: str = "gt", left_limit: bool = False) -> list[str]:
-    """Return violation messages for the structural snapshot invariants.
-
-    Checks, against tolerance `rel`: the remnant-supply identity, the active
-    set definition, the supply inequality for every active player, the
-    remaining-budget profile min{B_i(0), B_*} and, when the clinching set is
-    non-empty, that it is exactly the set of active max-budget players.
-
-    `active_rule` picks the set-definition convention for the snapshot:
-    "gt" for right-continuous states ({i: v_i > p}), "ge" for a left limit
-    at an exit price ({i: v_i >= p}), "skip" for mid-procedure states
-    between removals of a tied group, where neither applies.
-
-    `left_limit` relaxes the clinching-set law to a subset check: at the
-    left limit of an entry price the joining player already holds the
-    maximum budget but only enters the (right-continuous) set at the price
-    itself.
-    """
-    bad: list[str] = []
-    p, n = state.price, state.n
-    if not close(state.supply, total_supply - sum(state.allocation), rel):
-        bad.append(f"supply identity: S={state.supply} vs s-sum(x)={total_supply - sum(state.allocation)}")
-    if active_rule != "skip":
-        if active_rule == "ge":
-            expected_active = frozenset(i for i in range(n)
-                                        if state.values[i] >= p and state.values[i] > 0.0)
-        else:
-            expected_active = frozenset(i for i in range(n) if state.values[i] > p)
-        if state.active != expected_active:
-            bad.append(f"active set {sorted(state.active)} != expected {sorted(expected_active)}")
-    if p > 0.0:
-        for i in state.active:
-            others = sum(state.budgets[j] for j in state.active if j != i) / p
-            if not leq(state.supply, others, rel):
-                bad.append(f"supply inequality fails for player {i}: S={state.supply} > {others}")
-    bstar = state.max_budget()
-    for i in state.active:
-        want = min(initial_budgets[i], bstar)
-        if not close(state.budgets[i], want, rel):
-            bad.append(f"budget profile: B_{i}={state.budgets[i]} != min(B0, B*)={want}")
-    if state.clinching:
-        tied = frozenset(i for i in state.active if close(state.budgets[i], bstar, rel))
-        if left_limit:
-            if not state.clinching <= tied:
-                bad.append(f"clinching set {sorted(state.clinching)} not within "
-                           f"max-budget actives {sorted(tied)}")
-        elif state.clinching != tied:
-            bad.append(f"clinching set {sorted(state.clinching)} != max-budget actives {sorted(tied)}")
-        if not state.clinching <= state.active:
-            bad.append("clinching set not a subset of active set")
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # JSON plumbing.  Numbers are rendered with 17 significant digits so that a
 # serialize/parse round trip reproduces every double exactly.
@@ -504,10 +449,3 @@ def instance_from_json(text: str, *, require_supply: bool = True) -> ValidatedIn
     return validate_instance(values=doc["values"], budgets=doc["budgets"],
                              supply=doc.get("supply", 0.0))
 
-
-def outcome_to_dict(outcome: Outcome) -> dict:
-    return {"x": list(outcome.allocation), "pi": list(outcome.payments)}
-
-
-def outcome_from_dict(doc: dict) -> Outcome:
-    return Outcome(tuple(float(v) for v in doc["x"]), tuple(float(v) for v in doc["pi"]))

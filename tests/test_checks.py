@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,28 @@ class TestOracleAgreement:
         assert not rep.passed
 
 
+def _bumped(row, i, by):
+    return row[:i] + (row[i] + by,) + row[i + 1:]
+
+
+TIED = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
+
+# name -> (instance, event index, event fields, after-state fields), each
+# field given as a function of the untampered event or after-state.  The
+# SHOWCASE events are entries at 3.5 and 4.66 and exits at 5.7 and 9; the
+# TIED events are exits of players 0 and 1 at 2.
+TAMPERINGS = {
+    "supply": (SHOWCASE, 1, {}, {"supply": lambda st: st.supply + 0.1}),
+    "exited-first": (TIED, 0, {}, {"active": lambda st: st.active | {0}}),
+    "exited-final": (TIED, 1, {}, {"active": lambda st: st.active | {1}}),
+    "showcase-exit": (SHOWCASE, 2, {}, {"active": lambda st: st.active | {3}}),
+    "price-shift": (SHOWCASE, 0, {"price": lambda ev: 5.0}, {"price": lambda st: 5.0}),
+    "extra-pay": (SHOWCASE, 2, {"delta_pay": lambda ev: _bumped(ev.delta_pay, 0, 0.1)}, {}),
+    "no-clinchers": (SHOWCASE, 1, {}, {"clinching": lambda st: frozenset()}),
+    "raised-budget": (SHOWCASE, 1, {}, {"budgets": lambda st: _bumped(st.budgets, 2, 0.5)}),
+}
+
+
 class TestTraceInvariants:
     def test_showcase_clean(self):
         assert verify_trace(engine.trace(SHOWCASE)) == []
@@ -236,10 +260,13 @@ class TestTraceInvariants:
         for inst in random_instances(CorpusSpec(count=60, n_min=2, n_max=8, seed=31)):
             assert verify_trace(engine.trace(inst), rtol=1e-8) == [], inst
 
-    def test_tampered_trace_is_flagged(self):
-        from dataclasses import replace
-        tr = engine.trace(SHOWCASE)
-        ev = tr.events[1]
-        warped = replace(ev, after=replace(ev.after, supply=ev.after.supply + 0.1))
-        broken = replace(tr, events=tr.events[:1] + (warped,) + tr.events[2:])
+    @pytest.mark.parametrize("case", list(TAMPERINGS))
+    def test_tampered_trace_is_flagged(self, case):
+        inst, k, event_fields, after_fields = TAMPERINGS[case]
+        tr = engine.trace(inst)
+        ev = tr.events[k]
+        after = replace(ev.after, **{f: make(ev.after) for f, make in after_fields.items()})
+        warped = replace(ev, after=after, **{f: make(ev) for f, make in event_fields.items()})
+        assert warped != ev
+        broken = replace(tr, events=tr.events[:k] + (warped,) + tr.events[k + 1:])
         assert verify_trace(broken) != []

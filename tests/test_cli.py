@@ -306,6 +306,52 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:") and "points" in err
 
+    @pytest.mark.parametrize("prop, key", [
+        ("ir", "cuont"), ("budget", "h"), ("ic", "pairs"), ("pareto", "points"),
+        ("monotone", "candidates"), ("oracle", "nmin")])
+    def test_corpus_key_the_property_does_not_read_is_usage_error(self, capsys, prop,
+                                                                   key):
+        code, out, err = run(capsys, "check", "--property", prop,
+                             "--corpus", f"count=1,{key}=0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize("prop, corpus", [
+        ("ic", "count=1,nmin=2,nmax=2,vmax=5,bmin=0.5,bmax=1,smax=2,points=3"),
+        ("ir", "count=2,nmin=2,nmax=3,vmax=5,bmin=0.5,bmax=1,smax=2"),
+        ("budget", "count=2,nmin=2,nmax=3,vmax=5,bmin=0.5,bmax=1,smax=2"),
+        ("pareto", "count=2,nmin=2,nmax=3,vmax=5,bmin=0.5,bmax=1,smax=2,candidates=10"),
+        ("monotone", "count=2,nmin=2,nmax=3,vmax=5,bmin=0.5,bmax=1,smax=2,pairs=1"),
+        ("oracle", "count=3,h=1e-2")])
+    def test_every_key_the_property_reads_is_accepted(self, capsys, prop, corpus):
+        code, _, err = run(capsys, "check", "--property", prop, "--corpus", corpus)
+        assert code == 0, err
+
+    def test_nmin_above_nmax_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "--property", "ir",
+                             "--corpus", "count=1,nmin=3,nmax=2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "nmin=3" in err and "nmax=2" in err
+
+    @pytest.mark.parametrize("slack", ["1e300", "-5", "0"])
+    def test_tolerance_is_usage_error_for_pareto(self, capsys, slack):
+        code, out, err = run(capsys, "check", "--property", "pareto",
+                             "--corpus", "count=1", "--tolerance", slack)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--tolerance" in err
+
+    @pytest.mark.parametrize("prop", ["ic", "ir", "budget", "monotone", "oracle"])
+    @pytest.mark.parametrize("slack", ["-5", "nan"])
+    def test_negative_or_nan_tolerance_is_usage_error(self, capsys, prop, slack):
+        code, out, err = run(capsys, "check", "--property", prop,
+                             "--corpus", "count=1", "--tolerance", slack)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--tolerance" in err
+
     def test_tolerance_belongs_to_check_alone(self, capsys, showcase_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--input", showcase_file, "--tolerance", "1e-6"])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from clinch import cli, core, engine, two_player
-from clinch.checks import stratified_two_player
+from clinch.checks import check_price_state, stratified_two_player
 from clinch.core import (
     AuctionError,
     BudgetExceeded,
@@ -20,7 +20,6 @@ from clinch.core import (
     NegativeEntry,
     NonFinite,
     Outcome,
-    check_price_state,
     close,
     dumps,
     instance_from_json,
