@@ -32,7 +32,8 @@ from .core import (
 )
 from .engine import state_at, wishful_allocation
 
-_GAUSS_NODES = 48
+# where `verify_trace` samples the snapshot laws inside each clinching segment
+_INTERIOR = np.linspace(0.15, 0.85, 5).tolist()
 
 
 @dataclass(frozen=True)
@@ -485,24 +486,36 @@ def check_oracle_agreement(instances, h: float = 1e-4, tol: float | None = None,
 # ---------------------------------------------------------------------------
 # Trace invariants
 
-def _segment_budget(start: PriceState, i: int, rho: np.ndarray) -> np.ndarray:
-    """Closed-form remaining budget of player i on a constant-set segment."""
-    if i not in start.clinching:
-        return np.full(rho.shape, start.budgets[i])
-    k = len(start.clinching)
-    p0, s0, b0 = start.price, start.supply, start.budgets[i]
+def _segment_integrals(start: PriceState, p1: float) -> tuple[list[float], float]:
+    """Exact integrals along the closed-form segment from `start` to p1 > 0:
+    each player's integral of B_i(r)/r^2 over [p0, p1] (its wishful
+    decrement) and the money spent, the integral of r * (-dS/dr).
+
+    With q = p0/p1 and span = 1/p0 - 1/p1, every player gets B_i * span.  A
+    clincher's budget falls like B_i - p0*S0*ln(r/p0) for k = 1, which adds
+    S0*(q*(1 - ln q) - 1), and like B_i + c*((p0/r)^(k-1) - 1) for k > 1,
+    c = p0*S0/(k-1), which adds c*((1 - q^k)/(k*p0) - span).  The money is
+    p0*S0*(-ln q) for k = 1 and k*c*(1 - q^(k-1)) for k > 1.  They are
+    written through d = p1 - p0, log1p and expm1, so that a short segment
+    keeps its relative accuracy.
+    """
+    p0, S0, k = start.price, start.supply, len(start.clinching)
+    d = p1 - p0
+    span = d / (p0 * p1)
+    drops = [b * span for b in start.budgets]
+    if not k:
+        return drops, 0.0
+    log_ratio = math.log1p(d / p0)  # -ln q
     if k == 1:
-        return b0 + p0 * s0 * (np.log(p0) - np.log(rho))
-    return b0 + p0 * s0 / (k - 1) * ((p0 / rho) ** (k - 1) - 1.0)
-
-
-def _segment_sales(start: PriceState, rho: np.ndarray) -> np.ndarray:
-    """Rate of money spent, rho * (-dS/d rho), on a constant-set segment."""
-    k = len(start.clinching)
-    if k == 0:
-        return np.zeros(rho.shape)
-    p0, s0 = start.price, start.supply
-    return k * s0 * (p0 / rho) ** k
+        extra = S0 * (p0 / p1 * log_ratio - d / p1)
+        money = p0 * S0 * log_ratio
+    else:
+        c = p0 * S0 / (k - 1)
+        extra = c / p0 * (-math.expm1(-k * log_ratio) / k - d / p1)
+        money = k * c * -math.expm1(-(k - 1) * log_ratio)
+    for i in start.clinching:
+        drops[i] += extra
+    return drops, money
 
 
 def check_price_state(state: PriceState, initial_budgets: Sequence[float],
@@ -533,8 +546,9 @@ def check_price_state(state: PriceState, initial_budgets: Sequence[float],
         bad.append(f"active set {sorted(state.active)} not between {sorted(must)} "
                    f"and {sorted(may)}")
     if p > 0.0:
+        total = sum(state.budgets[j] for j in state.active)
         for i in state.active:
-            others = sum(state.budgets[j] for j in state.active if j != i) / p
+            others = (total - state.budgets[i]) / p
             if not leq(state.supply, others, rel):
                 bad.append(f"supply inequality fails for player {i}: S={state.supply} > {others}")
     bstar = state.max_budget()
@@ -555,37 +569,27 @@ def check_price_state(state: PriceState, initial_budgets: Sequence[float],
     return bad
 
 
-def verify_trace(tr: EventTrace, rtol: float = 1e-8, samples: int = 5) -> list[str]:
+def verify_trace(tr: EventTrace, rtol: float = 1e-8) -> list[str]:
     """Violation messages for every structural law along one trace.
 
     One pass over the events: the state after the previous event (or the
     initial state) is evolved once to the event's price.  The segment up to
-    that left limit is checked at `samples` interior prices and against two
-    integral laws: the wishful decrement equals the integral of B/price^2,
-    and the money paid so far equals the price-weighted integral of sold
-    supply.  The left limit and the state after the event are visited in
-    turn (see `visit`); the wishful allocation is continuous across an exit;
-    an exit takes its players out of the active set and an entry leaves it
-    as it was.  An event that the previous state cannot be evolved to is
-    reported, and the pass goes on from the state recorded after it.
+    that left limit is checked at five interior prices and against two
+    integral laws, both in closed form (see `_segment_integrals`): the
+    wishful decrement equals the integral of B/price^2, and the money paid
+    so far equals the price-weighted integral of sold supply.  The left
+    limit and the state after the event are visited in turn (see `visit`);
+    the state after an event is at the event's price; the wishful allocation
+    is continuous across an exit; an exit takes its players out of the
+    active set and an entry leaves it as it was.  An event that the previous
+    state cannot be evolved to is reported, and the pass goes on from the
+    state recorded after it.
     """
     bad: list[str] = []
     inst = validate_instance(values=tr.values, budgets=tr.budgets, supply=tr.supply)
     if inst.n == 1 or not tr.events:
         return bad
     values = tr.values
-    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-
-    def gauss(lo: float, hi: float, fvals) -> float:
-        # geometric panels: segments can span decades of price and the
-        # integrands blow up like 1/price^2 towards the left endpoint
-        panels = min(max(int(math.ceil(math.log2(hi / lo))), 1), 64)
-        cuts = lo * (hi / lo) ** np.linspace(0.0, 1.0, panels + 1)
-        total = 0.0
-        for a, b in zip(cuts, cuts[1:]):
-            mid, half = 0.5 * (b + a), 0.5 * (b - a)
-            total += float(np.sum(weights * fvals(mid + half * nodes)) * half)
-        return total
 
     def laws(st: PriceState, label: str, clinching_subset: bool = False) -> None:
         for msg in check_price_state(st, tr.budgets, tr.supply, rtol, clinching_subset):
@@ -618,19 +622,18 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8, samples: int = 5) -> list[s
         if p1 <= p0:
             return 0.0
         if start.clinching:
-            for frac in np.linspace(0.15, 0.85, samples):
+            for frac in _INTERIOR:
                 p = p0 + frac * (p1 - p0)
-                laws(engine.evolve(start, float(p)), f"inside segment at p={p:g}")
-        if p0 > 0.0:
-            psi0, psi1 = wishful_allocation(start), wishful_allocation(end)
-            for i in range(inst.n):
-                drop = gauss(p0, p1, lambda r, i=i: _segment_budget(start, i, r) / r**2)
-                if abs((psi0[i] - psi1[i]) - drop) > tol(psi0[i], rel=rtol):
-                    bad.append(f"segment from p={p0:g}: wishful decrement of "
-                               f"{i} is {psi0[i] - psi1[i]}, integral gives {drop}")
-        if not start.clinching:
+                laws(engine.evolve(start, p), f"inside segment at p={p:g}")
+        if p0 <= 0.0:  # no clinchers here: evolving them from 0 raises ZeroPrice
             return 0.0
-        return gauss(p0, p1, lambda r: _segment_sales(start, r))
+        drops, money = _segment_integrals(start, p1)
+        psi0, psi1 = wishful_allocation(start), wishful_allocation(end)
+        for i, drop in enumerate(drops):
+            if abs((psi0[i] - psi1[i]) - drop) > tol(psi0[i], rel=rtol):
+                bad.append(f"segment from p={p0:g}: wishful decrement of "
+                           f"{i} is {psi0[i] - psi1[i]}, integral gives {drop}")
+        return money
 
     prev = last = engine.initial_state(inst)
     visit(prev, "initial")
@@ -657,6 +660,9 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8, samples: int = 5) -> list[s
             if abs(total_paid - collected) > tol(collected, rel=rtol):
                 bad.append(f"after {at}: money paid {total_paid} != "
                            f"price-weighted sales {collected}")
+        if after.price != ev.price:
+            bad.append(f"after {at}: state price {after.price} != event price "
+                       f"{ev.price}")
         visit(after, f"after {at}", any(values[i] <= ev.price for i in after.active))
         want = prev.active - set(ev.players) if ev.kind == EVENT_EXIT else prev.active
         if after.active != want:

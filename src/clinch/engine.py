@@ -31,9 +31,10 @@ just those entries.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import replace
 from itertools import repeat
-from operator import sub
+from operator import attrgetter, sub
 
 from .core import (
     EVENT_CLINCH_ENTRY,
@@ -534,20 +535,7 @@ def state_at(tr: EventTrace, p: float) -> PriceState:
     """Right-continuous snapshot of a traced run at an arbitrary price."""
     if p < 0.0:
         raise ValueError("price must be non-negative")
-    if not tr.events:
+    k = bisect_right(tr.events, p, key=attrgetter("price"))
+    if k == len(tr.events):  # the run is over; the state stays frozen
         return replace(tr.final, price=p)
-    last = None
-    for idx, ev in enumerate(tr.events):
-        if ev.price <= p:
-            last = idx
-        else:
-            break
-    if last is None:
-        base = initial_state(validate_instance(values=tr.values, budgets=tr.budgets,
-                                               supply=tr.supply))
-        return replace(base, price=p)
-    base = tr.events[last].after
-    if last == len(tr.events) - 1:
-        # beyond the final event the run is over; the state stays frozen
-        return replace(base, price=p)
-    return evolve(base, p)
+    return evolve(tr.events[k - 1].after if k else initial_state(tr), p)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 
 import reference_pareto
 from clinch import engine
-from clinch.core import Outcome, validate_instance
+from clinch.core import Outcome, PriceState, validate_instance
 from clinch.checks import (
     CorpusSpec,
     PropertyReport,
@@ -18,6 +19,7 @@ from clinch.checks import (
     check_supply_monotonicity,
     merge_reports,
     _search_improvement,
+    _segment_integrals,
     misreport_grid,
     oracle_corpus,
     property_corpus,
@@ -246,10 +248,50 @@ TAMPERINGS = {
     "exited-final": (TIED, 1, {}, {"active": lambda st: st.active | {1}}),
     "showcase-exit": (SHOWCASE, 2, {}, {"active": lambda st: st.active | {3}}),
     "price-shift": (SHOWCASE, 0, {"price": lambda ev: 5.0}, {"price": lambda st: 5.0}),
+    "entry-price": (SHOWCASE, 0, {"price": lambda ev: 0.9 * ev.price}, {}),
     "extra-pay": (SHOWCASE, 2, {"delta_pay": lambda ev: _bumped(ev.delta_pay, 0, 0.1)}, {}),
     "no-clinchers": (SHOWCASE, 1, {}, {"clinching": lambda st: frozenset()}),
     "raised-budget": (SHOWCASE, 1, {}, {"budgets": lambda st: _bumped(st.budgets, 2, 0.5)}),
 }
+
+
+def _composite_rule(f, p0: float, p1: float, panels: int = 20000) -> float:
+    """Composite Simpson rule for the integral over r in [p0, p1] of a
+    function given as f(t), t = ln(r/p0), so that dr = r dt."""
+    span = math.log1p((p1 - p0) / p0)
+    t = np.linspace(0.0, span, panels + 1)
+    w = np.ones(panels + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    return math.fsum(w * f(t) * p0 * np.exp(t)) * span / (3 * panels)
+
+
+class TestSegmentIntegrals:
+    @pytest.mark.parametrize("k", [0, 1, 2, 7])
+    @pytest.mark.parametrize("ratio", [1 + 1e-6, 1.01, 2.0, 1e3])
+    def test_matches_a_composite_rule(self, k, ratio):
+        p0, bstar = 1.5, 2.0
+        # supply at which the clinchers' budgets fall to about 0.1 B* at 1e3 p0
+        s0 = 0.9 * bstar / p0 * (1.0 / math.log(1e3) if k == 1 else max(k - 1, 1))
+        budgets = (bstar,) * k + (1.2, 0.7, 0.0)
+        n = len(budgets)
+        start = PriceState(p0, (0.0,) * n, budgets, s0, frozenset(range(n)),
+                           frozenset(range(k)), (1e4,) * n)
+        p1 = p0 * ratio
+        drops, money = _segment_integrals(start, p1)
+
+        def budget(i, t):  # B_i along the segment, at r = p0 e^t
+            if i >= k:
+                return np.full(t.shape, budgets[i])
+            if k == 1:
+                return bstar - p0 * s0 * t
+            return bstar + p0 * s0 / (k - 1) * np.expm1(-(k - 1) * t)
+
+        for i in range(n):
+            want = _composite_rule(lambda t: budget(i, t) / (p0 * np.exp(t)) ** 2, p0, p1)
+            assert drops[i] == pytest.approx(want, rel=1e-10, abs=0.0), i
+        # money: r * (-dS/dr) with S = s0 (p0/r)^k
+        want = _composite_rule(lambda t: k * s0 * np.exp(-k * t), p0, p1)
+        assert money == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestTraceInvariants:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,3 +352,12 @@ class TestPriceState:
                            st0.active, st0.clinching, st0.values)
         assert any("supply identity" in msg for msg in
                    check_price_state(broken, inst.budgets, inst.supply))
+
+    def test_supply_inequality_names_each_failing_player(self):
+        # at p = 1 the others of player 2 hold 2 < S = 3; players 0 and 1 see 4
+        inst = validate_instance(values=[9, 10, 11], budgets=[1, 1, 3], supply=3)
+        st = replace(initial_state(inst), price=1.0)
+        assert check_price_state(st, inst.budgets, inst.supply) == [
+            "supply inequality fails for player 2: S=3.0 > 2.0"]
+        st = replace(st, budgets=(1.0, 1.0, 1.0))
+        assert len(check_price_state(st, (1.0, 1.0, 1.0), inst.supply)) == 3

@@ -295,6 +295,45 @@ class TestExitStep:
         assert outcome_close(out_tied, solve(split), 1e-4)
 
 
+class TestStateAt:
+    # exits of players 0 and 1 at 2, an entry at 3 and an exit at 5
+    TIED = validate_instance(values=[2, 2, 5, 6], budgets=[1, 1, 3, 3], supply=1)
+
+    def test_before_the_first_event_is_the_initial_state(self):
+        tr = trace(self.TIED)
+        assert state_at(tr, 1.0) == replace(initial_state(self.TIED), price=1.0)
+
+    def test_at_a_tied_exit_the_last_of_the_tied_events_counts(self):
+        tr = trace(self.TIED)
+        assert [ev.price for ev in tr.events] == [2.0, 2.0, 3.0, 5.0]
+        assert tr.events[0].after != tr.events[1].after
+        assert state_at(tr, 2.0) == tr.events[1].after
+
+    def test_between_events_it_evolves_the_previous_after_state(self):
+        tr = trace(self.TIED)
+        st = state_at(tr, 4.0)
+        assert st == evolve(tr.events[2].after, 4.0)
+        assert st.price == 4.0 and st.supply < tr.events[2].after.supply
+
+    def test_from_the_final_event_on_the_state_stays_frozen(self):
+        tr = trace(self.TIED)
+        assert state_at(tr, 5.0) == tr.final == tr.events[-1].after
+        assert state_at(tr, 7.0) == replace(tr.final, price=7.0)
+
+    @pytest.mark.parametrize("inst", [
+        validate_instance(values=[3], budgets=[1], supply=2),
+        validate_instance(values=[3, 4], budgets=[1, 2], supply=0),
+    ])
+    def test_a_trace_without_events_is_its_final_state(self, inst):
+        tr = trace(inst)
+        assert tr.events == ()
+        assert state_at(tr, 0.5) == replace(tr.final, price=0.5)
+
+    def test_negative_price_raises(self):
+        with pytest.raises(ValueError):
+            state_at(trace(self.TIED), -1.0)
+
+
 class TestWishfulAllocation:
     def test_before_any_clinching_it_is_budget_over_price(self):
         st = state_at(trace(SHOWCASE), 2.0)

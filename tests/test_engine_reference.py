@@ -20,6 +20,7 @@ from clinch.checks import (
     property_corpus,
     random_instances,
     stratified_two_player,
+    verify_trace,
 )
 from clinch.core import AuctionError, validate_instance
 
@@ -135,6 +136,13 @@ def test_traces_match_the_reference_loop(name):
         scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         assert np.max(np.abs(a - b) / scale, initial=0.0) <= RTOL
         assert new.outcome == engine.solve(inst)
+
+
+@pytest.mark.parametrize("name, count", [("cent-grid", 50), ("wide-budgets", 5)])
+def test_traces_pass_the_trace_check(name, count):
+    """Repeated budgets at n <= 64 and n = 96 traces keep every trace law."""
+    for inst in CORPORA[name]()[:count]:
+        assert verify_trace(engine.trace(inst)) == [], inst
 
 
 def test_outsider_budget_sum_does_not_drift():
