@@ -26,7 +26,6 @@ from .core import (
     ValidatedInstance,
     close,
     leq,
-    player_orders,
     tol,
     validate_instance,
 )
@@ -34,6 +33,13 @@ from .engine import state_at, wishful_allocation
 
 # where `verify_trace` samples the snapshot laws inside each clinching segment
 _INTERIOR = np.linspace(0.15, 0.85, 5).tolist()
+# Fixed slacks.  `verify_trace`'s is above `core.ABS_FLOOR`, so the rule that
+# `core.tol` would give at it is TRACE_REL * max(1, |x|).
+TRACE_REL = 1e-8
+PARETO_REL = 1e-9  # the Pareto characterization's relative money slack
+SEARCH_MARGIN = 1e-6  # the gain a dominating outcome from the search must beat
+CONVERGENCE_SHRINK = 1.5  # the Euler mean error's required ratio from h to h/2
+QUAD_TOL = 1e-6  # the error bound of `myerson_gap`'s adaptive Simpson rule
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,7 @@ def random_instances(spec: CorpusSpec) -> list[ValidatedInstance]:
 
 def property_corpus(seed: int = 0, count: int = 1000) -> CorpusSpec:
     """The canonical corpus for the truthfulness/optimality property suite."""
-    return CorpusSpec(count=count, n_min=2, n_max=8, v_max=10.0, b_max=5.0,
-                      s_max=20.0, seed=seed)
+    return CorpusSpec(count=count, seed=seed)
 
 
 def oracle_corpus(seed: int = 0, count: int = 200) -> CorpusSpec:
@@ -131,14 +136,13 @@ def oracle_corpus(seed: int = 0, count: int = 200) -> CorpusSpec:
                       b_max=2.0, s_max=1.5, seed=seed)
 
 
-def stratified_two_player(seed: int = 0, count: int = 10000,
-                          budget_ratio_max: float = 4.0) -> list[ValidatedInstance]:
+def stratified_two_player(seed: int = 0, count: int = 10000) -> list[ValidatedInstance]:
     """n=2 instances balanced across the six closed-form regimes.
 
-    Supply is sampled inside the regime's spend window (below the poorer
-    budget, between it and the split knee, or beyond the knee), for both
-    value orders; player labels are then swapped at random so the
-    relabeling path is exercised too.
+    One budget is 1 to 4 times the other.  Supply is sampled inside the
+    regime's spend window (below the poorer budget, between it and the split
+    knee, or beyond the knee), for both value orders; player labels are then
+    swapped at random so the relabeling path is exercised too.
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -151,7 +155,7 @@ def stratified_two_player(seed: int = 0, count: int = 10000,
         else:
             v1, v2 = hi, lo
         b2 = 0.05 + 4.95 * (1.0 - rng.random())
-        b1 = b2 * (1.0 + (budget_ratio_max - 1.0) * rng.random())
+        b1 = b2 * (1.0 + 3.0 * rng.random())
         knee = b2 * math.exp(b1 / b2 - 1.0)
         vmin = min(v1, v2)
         u = rng.random()
@@ -172,8 +176,7 @@ def stratified_two_player(seed: int = 0, count: int = 10000,
 # ---------------------------------------------------------------------------
 # Truthfulness / rationality / budget feasibility
 
-def misreport_grid(inst: ValidatedInstance, player: int, points: int = 50
-                   ) -> list[float]:
+def misreport_grid(inst: ValidatedInstance, player: int, points: int) -> list[float]:
     """Candidate misreports: an even grid over [0, 2 max v] plus every
     opponent value nudged one tolerance-width to either side (the only
     discontinuity candidates).  The even grid needs both of its ends, so
@@ -193,14 +196,15 @@ def misreport_grid(inst: ValidatedInstance, player: int, points: int = 50
 def _misreported(inst: ValidatedInstance, i: int, report: float) -> ValidatedInstance:
     """`inst` with player i's value replaced by `report`: only the new value
     needs checking (grid points are non-negative) and only the value order
-    changes."""
+    changes, sorted stably as `core.player_orders` sorts it."""
     if not report < math.inf:  # the grid over [0, 2 max v] overflowed
         raise NonFinite(f"values contains a non-finite entry: {report!r}")
     vals = list(inst.values)
     vals[i] = report
     vals = tuple(vals)
     return ValidatedInstance(vals, inst.budgets, inst.supply,
-                             player_orders(vals, inst.budgets)[0], inst.budget_order)
+                             tuple(sorted(range(len(vals)), key=vals.__getitem__)),
+                             inst.budget_order)
 
 
 def check_ic(inst: ValidatedInstance, solver=engine.solve, points: int = 50,
@@ -222,7 +226,7 @@ def check_ic(inst: ValidatedInstance, solver=engine.solve, points: int = 50,
                           witness is None, worst, witness)
 
 
-def check_ir(inst: ValidatedInstance, outcome: Outcome, tol: float = 1e-9
+def check_ir(inst: ValidatedInstance, outcome: Outcome, slack: float = 1e-9
              ) -> PropertyReport:
     """Truthful utility is non-negative for every player."""
     worst = 0.0
@@ -232,13 +236,13 @@ def check_ir(inst: ValidatedInstance, outcome: Outcome, tol: float = 1e-9
         bad = -u
         if bad > worst:
             worst = bad
-            if bad > tol * max(1.0, abs(u)):
+            if bad > slack * max(1.0, abs(u)):
                 witness = _witness(inst, player=i, utility=u)
     return PropertyReport("individual-rationality", "single instance",
                           witness is None, worst, witness)
 
 
-def check_budget(inst: ValidatedInstance, outcome: Outcome, tol: float = 1e-9
+def check_budget(inst: ValidatedInstance, outcome: Outcome, slack: float = 1e-9
                  ) -> PropertyReport:
     """Payments stay inside declared budgets (and are non-negative)."""
     worst = 0.0
@@ -247,7 +251,7 @@ def check_budget(inst: ValidatedInstance, outcome: Outcome, tol: float = 1e-9
         over = max(outcome.payments[i] - inst.budgets[i], -outcome.payments[i])
         if over > worst:
             worst = over
-            if over > tol * max(1.0, inst.budgets[i]):
+            if over > slack * max(1.0, inst.budgets[i]):
                 witness = _witness(inst, player=i, payment=outcome.payments[i])
     return PropertyReport("budget-feasibility", "single instance",
                           witness is None, worst, witness)
@@ -256,13 +260,13 @@ def check_budget(inst: ValidatedInstance, outcome: Outcome, tol: float = 1e-9
 # ---------------------------------------------------------------------------
 # Pareto optimality: characterization + randomized direct search
 
-def _characterization_violation(inst: ValidatedInstance, outcome: Outcome,
-                                tol: float = 1e-9) -> tuple[float, str | None]:
+def _characterization_violation(inst: ValidatedInstance, outcome: Outcome
+                                ) -> tuple[float, str | None]:
     """No-improving-trade conditions: supply sold out (all values positive),
     and no higher-value player keeps budget slack while a lower-value
     player holds goods."""
     n = inst.n
-    money = lambda x: tol * max(1.0, abs(x))
+    money = lambda x: PARETO_REL * max(1.0, abs(x))
     if n >= 2 and all(v > 0.0 for v in inst.values):
         unsold = inst.supply - sum(outcome.allocation)
         if unsold > money(inst.supply):
@@ -281,12 +285,12 @@ def _characterization_violation(inst: ValidatedInstance, outcome: Outcome,
 
 
 def _search_improvement(inst: ValidatedInstance, outcome: Outcome,
-                        rng: np.random.Generator, candidates: int = 1000,
-                        margin: float = 1e-6) -> tuple[float, dict | None]:
+                        rng: np.random.Generator, candidates: int
+                        ) -> tuple[float, dict | None]:
     """Randomized direct search for a dominating outcome.
 
     Candidates are alternative (x', pay') pairs; a find must weakly improve
-    every bidder and the seller with one strict gain beyond `margin`.
+    every bidder and the seller with one strict gain beyond `SEARCH_MARGIN`.
     Payments may go negative (the comparison class allows compensating a
     bidder for giving up goods); only pay' <= budget is required.
 
@@ -357,7 +361,7 @@ def _search_improvement(inst: ValidatedInstance, outcome: Outcome,
                           & ~(x1.sum(axis=1) > inst.supply + eps)
                           & ~(p1 > b + eps).any(axis=1)
                           & ~(gains < -eps).any(axis=1)
-                          & (strict > max(0.0, margin)))
+                          & (strict > SEARCH_MARGIN))
     if not hits.size:
         return 0.0, None
     r = hits[np.argmax(strict[hits])]  # argmax keeps the first of tied rows
@@ -367,8 +371,8 @@ def _search_improvement(inst: ValidatedInstance, outcome: Outcome,
 
 
 def check_pareto(inst: ValidatedInstance, outcome: Outcome,
-                 rng: np.random.Generator | None = None, candidates: int = 1000,
-                 tol: float = 1e-9, margin: float = 1e-6) -> PropertyReport:
+                 rng: np.random.Generator | None = None, candidates: int = 1000
+                 ) -> PropertyReport:
     """Both Pareto checkers; the report records each verdict.
 
     Fails when either the trade characterization or the direct randomized
@@ -382,9 +386,8 @@ def check_pareto(inst: ValidatedInstance, outcome: Outcome,
     `default_rng(0)`.
     """
     rng = rng or np.random.default_rng(0)
-    char_viol, char_msg = _characterization_violation(inst, outcome, tol)
-    search_gain, search_hit = _search_improvement(inst, outcome, rng, candidates,
-                                                  margin)
+    char_viol, char_msg = _characterization_violation(inst, outcome)
+    search_gain, search_hit = _search_improvement(inst, outcome, rng, candidates)
     details = (f"characterization: {'fail: ' + char_msg if char_msg else 'pass'}",
                f"search: {'fail, gain ' + repr(search_gain) if search_hit else 'pass'}")
     failed = char_msg is not None or search_hit is not None
@@ -445,16 +448,17 @@ def check_supply_monotonicity(values, budgets, supply_pairs,
 # ---------------------------------------------------------------------------
 # Engine-vs-integrator agreement
 
-def check_oracle_agreement(instances, h: float = 1e-4, tol: float | None = None,
-                           shrink: float = 1.5) -> PropertyReport:
+def check_oracle_agreement(instances, h: float = 1e-4, slack: float | None = None
+                           ) -> PropertyReport:
     """Componentwise engine/integrator agreement at step h, plus first-order
-    convergence: the corpus mean error must shrink by `shrink` when h halves.
+    convergence: the corpus mean error must shrink by `CONVERGENCE_SHRINK`
+    when h halves.
 
-    The default agreement tolerance is 10*h, matching the integrator's
+    The default agreement slack is 10*h, matching the integrator's
     membership tolerance scale (a first-order method's error budget moves
     with its step)."""
-    if tol is None:
-        tol = 10.0 * h
+    if slack is None:
+        slack = 10.0 * h
     worst = 0.0
     witness = None
     errs_h, errs_h2 = [], []
@@ -470,14 +474,15 @@ def check_oracle_agreement(instances, h: float = 1e-4, tol: float | None = None,
         errs_h2.append(err2)
         if err > worst:
             worst = err
-            if err > tol:
+            if err > slack:
                 witness = _witness(inst, error=err, step=h)
     mean_h, mean_h2 = float(np.mean(errs_h)), float(np.mean(errs_h2))
     details = (f"max err at h: {worst:.3e}", f"mean err at h: {mean_h:.3e}",
                f"mean err at h/2: {mean_h2:.3e}")
-    if witness is None and mean_h2 > 0.0 and mean_h / mean_h2 < shrink:
-        witness = {"convergence_ratio": mean_h / mean_h2, "required": shrink}
-        worst = max(worst, shrink - mean_h / mean_h2)
+    ratio = mean_h / mean_h2 if mean_h2 > 0.0 else math.inf
+    if witness is None and ratio < CONVERGENCE_SHRINK:
+        witness = {"convergence_ratio": ratio, "required": CONVERGENCE_SHRINK}
+        worst = max(worst, CONVERGENCE_SHRINK - ratio)
     return PropertyReport("integration-oracle-agreement",
                           f"{len(errs_h)} instances at h={h:g}",
                           witness is None, worst, witness, details)
@@ -569,8 +574,9 @@ def check_price_state(state: PriceState, initial_budgets: Sequence[float],
     return bad
 
 
-def verify_trace(tr: EventTrace, rtol: float = 1e-8) -> list[str]:
-    """Violation messages for every structural law along one trace.
+def verify_trace(tr: EventTrace) -> list[str]:
+    """Violation messages for every structural law along one trace, each
+    within the slack `TRACE_REL` * max(1, |x|).
 
     One pass over the events: the state after the previous event (or the
     initial state) is evolved once to the event's price.  The segment up to
@@ -592,7 +598,8 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8) -> list[str]:
     values = tr.values
 
     def laws(st: PriceState, label: str, clinching_subset: bool = False) -> None:
-        for msg in check_price_state(st, tr.budgets, tr.supply, rtol, clinching_subset):
+        for msg in check_price_state(st, tr.budgets, tr.supply, TRACE_REL,
+                                     clinching_subset):
             bad.append(f"{label}: {msg}")
 
     def visit(st: PriceState, label: str, clinching_subset: bool = False) -> None:
@@ -601,9 +608,10 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8) -> list[str]:
         nonlocal last
         laws(st, label, clinching_subset)
         for i in range(inst.n):
-            if st.allocation[i] < last.allocation[i] - tol(1.0, rel=rtol):
+            if st.allocation[i] < last.allocation[i] - TRACE_REL:
                 bad.append(f"{label}: allocation of {i} decreased")
-            if st.budgets[i] > last.budgets[i] + tol(st.budgets[i], rel=rtol):
+            b = st.budgets[i]
+            if b > last.budgets[i] + TRACE_REL * max(1.0, abs(b)):
                 bad.append(f"{label}: budget of {i} increased")
         for i in last.clinching - st.clinching:
             if values[i] > st.price:
@@ -611,7 +619,7 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8) -> list[str]:
         if st.price > 0.0 and last.price > 0.0:
             psi, psi_last = wishful_allocation(st), wishful_allocation(last)
             for i in range(inst.n):
-                if psi[i] > psi_last[i] + tol(psi[i], rel=rtol):
+                if psi[i] > psi_last[i] + TRACE_REL * max(1.0, abs(psi[i])):
                     bad.append(f"{label}: wishful allocation of {i} increased")
         last = st
 
@@ -630,7 +638,7 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8) -> list[str]:
         drops, money = _segment_integrals(start, p1)
         psi0, psi1 = wishful_allocation(start), wishful_allocation(end)
         for i, drop in enumerate(drops):
-            if abs((psi0[i] - psi1[i]) - drop) > tol(psi0[i], rel=rtol):
+            if abs((psi0[i] - psi1[i]) - drop) > TRACE_REL * max(1.0, abs(psi0[i])):
                 bad.append(f"segment from p={p0:g}: wishful decrement of "
                            f"{i} is {psi0[i] - psi1[i]}, integral gives {drop}")
         return money
@@ -653,11 +661,11 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8) -> list[str]:
             if ev.kind == EVENT_EXIT and ev.price > 0.0:
                 pre, post = wishful_allocation(left), wishful_allocation(after)
                 for i in range(inst.n):
-                    if abs(pre[i] - post[i]) > tol(pre[i], rel=rtol):
+                    if abs(pre[i] - post[i]) > TRACE_REL * max(1.0, abs(pre[i])):
                         bad.append(f"exit@{ev.price:g}: wishful allocation of {i} "
                                    f"jumped by {post[i] - pre[i]}")
             collected = collected + sold + sum(ev.delta_pay)
-            if abs(total_paid - collected) > tol(collected, rel=rtol):
+            if abs(total_paid - collected) > TRACE_REL * max(1.0, abs(collected)):
                 bad.append(f"after {at}: money paid {total_paid} != "
                            f"price-weighted sales {collected}")
         if after.price != ev.price:
@@ -672,9 +680,9 @@ def verify_trace(tr: EventTrace, rtol: float = 1e-8) -> list[str]:
 
     # full allocation
     if all(v > 0.0 for v in values) and inst.n >= 2:
-        if abs(sum(tr.outcome.allocation) - tr.supply) > tol(tr.supply, rel=rtol):
-            bad.append(f"final allocation sums to {sum(tr.outcome.allocation)}, "
-                       f"supply is {tr.supply}")
+        total = sum(tr.outcome.allocation)
+        if abs(total - tr.supply) > TRACE_REL * max(1.0, tr.supply):
+            bad.append(f"final allocation sums to {total}, supply is {tr.supply}")
     return bad
 
 
@@ -694,7 +702,7 @@ def _adaptive_simpson(f, a: float, b: float, fa: float, fm: float, fb: float,
             + _adaptive_simpson(f, m, b, fm, frm, fb, tol / 2.0, depth - 1))
 
 
-def myerson_gap(inst: ValidatedInstance, player: int, quad_tol: float = 1e-6) -> float:
+def myerson_gap(inst: ValidatedInstance, player: int) -> float:
     """|pay_i - (v_i x_i - integral of x_i over reports in [0, v_i])|.
 
     The allocation curve jumps only at opponent values but has steep knees
@@ -719,6 +727,6 @@ def myerson_gap(inst: ValidatedInstance, player: int, quad_tol: float = 1e-6) ->
         nudge = 1e-12 * (hi - lo)
         integral += _adaptive_simpson(x_of, lo, hi, x_of(lo + nudge),
                                       x_of(0.5 * (lo + hi)), x_of(hi - nudge),
-                                      quad_tol, 36)
+                                      QUAD_TOL, 36)
     predicted = v_i * out.allocation[player] - integral
     return abs(out.payments[player] - predicted)

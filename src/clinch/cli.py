@@ -146,6 +146,7 @@ def _cmd_vcg(args) -> int:
     if args.table is not None:
         table = json.loads(_read_input(args.table))
         oracle = vcg.oracle_from_table(inst.n, table)
+        oracle.check()
         out = vcg.vcg_polymatroid(inst.values, oracle)
     elif args.family == "multiunit":
         out = vcg.vcg_multiunit(inst.values, inst.supply)
@@ -160,26 +161,38 @@ def _cmd_vcg(args) -> int:
 
 
 def _parse_corpus(text: str | None) -> dict:
-    out = {}
-    if not text:
-        return out
-    for token in text.split(","):
-        if not token.strip():
-            continue
-        key, _, val = token.partition("=")
-        out[key.strip()] = float(val)
-    return out
+    tokens = [t.partition("=") for t in (text or "").split(",") if t.strip()]
+    return {key.strip(): float(val) for key, _, val in tokens}
 
 
-# Every --corpus key each property reads, with its default.
-_GENERATOR = dict(nmin=2, nmax=8, vmax=10.0, bmin=0.0, bmax=5.0, smax=20.0)
-_CHECK_DEFAULTS = {
-    "ic": dict(_GENERATOR, count=40, nmax=6, points=50),
-    "ir": dict(_GENERATOR, count=400),
-    "budget": dict(_GENERATOR, count=400),
-    "pareto": dict(_GENERATOR, count=100, candidates=1000),
-    "monotone": dict(_GENERATOR, count=100, pairs=3),
-    "oracle": dict(count=40, h=1e-3),
+# The CorpusSpec field that each generator key of --corpus sets; a key not
+# given keeps the field's default.
+_SPEC_FIELDS = dict(count="count", nmin="n_min", nmax="n_max", vmax="v_max",
+                    bmin="b_min", bmax="b_max", smax="s_max")
+_INT_KEYS = ("count", "nmin", "nmax", "points", "candidates", "pairs")
+
+
+def _check_monotone(checks, inst, rng, pairs=3, **slack):
+    base = inst.supply
+    pairs = [(base * rng.random(), base) for _ in range(pairs)]
+    return checks.check_supply_monotonicity(inst.values, inst.budgets, pairs, **slack)
+
+
+# Per property: the --corpus defaults it sets itself, the keys it passes to
+# its check as keywords (a key not given keeps the check's own default) and
+# the check of one instance.  oracle checks the whole corpus at once and
+# reads only its own keys.
+_CHECKS = {
+    "ic": (dict(count=40, nmax=6), ("points",),
+           lambda checks, inst, rng, **kw: checks.check_ic(inst, **kw)),
+    "ir": (dict(count=400), (), lambda checks, inst, rng, **kw:
+           checks.check_ir(inst, engine.solve(inst), **kw)),
+    "budget": (dict(count=400), (), lambda checks, inst, rng, **kw:
+               checks.check_budget(inst, engine.solve(inst), **kw)),
+    "pareto": (dict(count=100), ("candidates",), lambda checks, inst, rng, **kw:
+               checks.check_pareto(inst, engine.solve(inst), rng, **kw)),
+    "monotone": (dict(count=100), ("pairs",), _check_monotone),
+    "oracle": (dict(count=40, h=1e-3), (), None),
 }
 
 
@@ -188,59 +201,40 @@ def _cmd_check(args) -> int:
 
     from . import checks
 
-    opts = dict(_CHECK_DEFAULTS[args.property])
-    for key, val in _parse_corpus(args.corpus).items():
-        if key not in opts:
+    defaults, keywords, check_one = _CHECKS[args.property]
+    reads = {*defaults} if check_one is None else {*_SPEC_FIELDS, *keywords}
+    given = _parse_corpus(args.corpus)
+    for key in given:
+        if key not in reads:
             raise ValueError(f"--corpus key {key!r} is not read by --property "
-                             f"{args.property}, which reads {', '.join(sorted(opts))}")
-        opts[key] = val
-    count = int(opts["count"])
-    if count < 1:
-        raise ValueError(f"--corpus count must be at least 1, got {count}")
-    rng = np.random.default_rng(args.seed)
-    tol = args.tolerance
-    if tol is not None and not tol >= 0.0:
-        raise ValueError(f"--tolerance must be a non-negative number, got {tol}")
-    if tol is not None and args.property == "pareto":
-        raise ValueError("--tolerance does not apply to --property pareto: its "
-                         "characterization and search slacks are fixed")
+                             f"{args.property}, which reads {', '.join(sorted(reads))}")
+    opts = {key: int(val) if key in _INT_KEYS else val
+            for key, val in {**defaults, **given}.items()}
+    if opts["count"] < 1:
+        raise ValueError(f"--corpus count must be at least 1, got {opts['count']}")
+    slack = {}
+    if args.tolerance is not None:
+        if not args.tolerance >= 0.0:
+            raise ValueError(f"--tolerance must be a non-negative number, got "
+                             f"{args.tolerance}")
+        if args.property == "pareto":
+            raise ValueError("--tolerance does not apply to --property pareto: its "
+                             "characterization and search slacks are fixed")
+        slack["slack"] = args.tolerance
 
-    if args.property == "oracle":
-        spec = checks.oracle_corpus(seed=args.seed, count=count)
-        insts = checks.random_instances(spec)
-        reports = [checks.check_oracle_agreement(insts, h=opts["h"], tol=tol)]
+    if check_one is None:
+        spec = checks.oracle_corpus(seed=args.seed, count=opts["count"])
+        reports = [checks.check_oracle_agreement(checks.random_instances(spec),
+                                                 h=opts["h"], **slack)]
     else:
-        n_min, n_max = int(opts["nmin"]), int(opts["nmax"])
-        if n_min > n_max:
-            raise ValueError(f"--corpus nmin={n_min} exceeds nmax={n_max}")
-        spec = checks.CorpusSpec(
-            count=count, n_min=n_min, n_max=n_max, v_max=opts["vmax"],
-            b_min=opts["bmin"], b_max=opts["bmax"], s_max=opts["smax"],
-            seed=args.seed)
-        insts = checks.random_instances(spec)
-        reports = []
-        for inst in insts:
-            if args.property == "ic":
-                reports.append(checks.check_ic(
-                    inst, points=int(opts["points"]),
-                    slack=1e-6 if tol is None else tol))
-            elif args.property == "ir":
-                reports.append(checks.check_ir(inst, engine.solve(inst),
-                                               tol=1e-9 if tol is None else tol))
-            elif args.property == "budget":
-                reports.append(checks.check_budget(inst, engine.solve(inst),
-                                                   tol=1e-9 if tol is None else tol))
-            elif args.property == "pareto":
-                reports.append(checks.check_pareto(
-                    inst, engine.solve(inst), rng,
-                    candidates=int(opts["candidates"])))
-            else:
-                base = inst.supply
-                pairs = [(base * rng.random(), base) for _ in
-                         range(int(opts["pairs"]))]
-                reports.append(checks.check_supply_monotonicity(
-                    inst.values, inst.budgets, pairs,
-                    slack=1e-8 if tol is None else tol))
+        spec = checks.CorpusSpec(seed=args.seed, **{
+            field: opts[key] for key, field in _SPEC_FIELDS.items() if key in opts})
+        if spec.n_min > spec.n_max:
+            raise ValueError(f"--corpus nmin={spec.n_min} exceeds nmax={spec.n_max}")
+        rng = np.random.default_rng(args.seed)
+        kw = {key: opts[key] for key in keywords if key in opts}
+        reports = [check_one(checks, inst, rng, **kw, **slack)
+                   for inst in checks.random_instances(spec)]
         reports = [checks.merge_reports(reports[0].name, spec.describe(), reports)]
 
     if args.format == "table":
@@ -254,8 +248,6 @@ def _cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for every randomized corpus")
     shared.add_argument("--format", choices=("json", "table"), default="json",
                         help="output rendering")
 
@@ -274,16 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(fn=_cmd_trace)
 
-    p = sub.add_parser("stream", parents=[shared],
-                       help='consume {"supply": ds} lines, emit deltas')
+    p = sub.add_parser("stream", help='consume {"supply": ds} lines, emit JSON deltas')
     p.add_argument("--input", required=True,
                    help="instance JSON (supply field ignored)")
     p.set_defaults(fn=_cmd_stream)
 
     p = sub.add_parser("check", parents=[shared],
                        help="run a property over a seeded random corpus")
-    p.add_argument("--property", required=True,
-                   choices=("ic", "ir", "budget", "pareto", "monotone", "oracle"))
+    p.add_argument("--property", required=True, choices=tuple(_CHECKS))
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random corpus and the checks' draws")
     p.add_argument("--corpus", default=None,
                    help="comma list of key=value generator parameters, e.g. "
                         "count=100,nmin=2,nmax=8,vmax=10,bmax=5,smax=20")
@@ -316,10 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except AuctionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (AuctionError, OSError, ValueError) as exc:  # incl. JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

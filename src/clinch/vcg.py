@@ -17,15 +17,18 @@ import numpy as np
 
 from .core import ABS_FLOOR, OracleViolation, Outcome, validate_instance
 
+CHECK_TOL = 1e-9  # `SubmodularOracle.check`'s slack
+CHECK_TRIALS = 200  # its number of random triples above 12 players
+
 
 @dataclass
 class SubmodularOracle:
     """Capacity oracle f: subset of players -> feasible units.
 
     Wraps an arbitrary callback with memoization; f(empty) must be 0.
-    `check(rng)` verifies monotonicity and submodularity, exhaustively for
-    n <= 12 and by random triples otherwise (the exhaustive check is
-    exponential in n).
+    `check()` verifies monotonicity and submodularity, exhaustively for
+    n <= 12 and by `CHECK_TRIALS` seeded random triples otherwise (the
+    exhaustive check is exponential in n).
     """
 
     n: int
@@ -42,9 +45,9 @@ class SubmodularOracle:
             got = self._memo[subset] = float(self.fn(subset))
         return got
 
-    def check(self, rng: np.random.Generator | None = None, trials: int = 200,
-              tol: float = 1e-9) -> None:
-        """Raise OracleViolation if monotonicity or submodularity fails."""
+    def check(self) -> None:
+        """Raise OracleViolation if monotonicity or submodularity fails by
+        more than `CHECK_TOL`."""
         players = list(range(self.n))
         if self.n <= 12:
             subsets = [frozenset(c) for r in range(self.n + 1)
@@ -55,18 +58,18 @@ class SubmodularOracle:
                     if i in s:
                         continue
                     gain = self.value(s | {i}) - fs
-                    if gain < -tol:
+                    if gain < -CHECK_TOL:
                         raise OracleViolation(f"not monotone at {sorted(s)} + {i}")
                     for j in players:
                         if j in s or j == i:
                             continue
                         bigger = self.value(s | {j} | {i}) - self.value(s | {j})
-                        if bigger > gain + tol:
+                        if bigger > gain + CHECK_TOL:
                             raise OracleViolation(
                                 f"not submodular: adding {i} to {sorted(s)} vs +{j}")
             return
-        rng = rng or np.random.default_rng(0)
-        for _ in range(trials):
+        rng = np.random.default_rng(0)
+        for _ in range(CHECK_TRIALS):
             mask = rng.random(self.n) < rng.random()
             s = frozenset(np.flatnonzero(mask).tolist())
             rest = [i for i in players if i not in s]
@@ -74,9 +77,9 @@ class SubmodularOracle:
                 continue
             i, j = rng.choice(rest, size=2, replace=False).tolist()
             gain = self.value(s | {i}) - self.value(s)
-            if gain < -tol:
+            if gain < -CHECK_TOL:
                 raise OracleViolation(f"not monotone at {sorted(s)} + {i}")
-            if self.value(s | {j} | {i}) - self.value(s | {j}) > gain + tol:
+            if self.value(s | {j} | {i}) - self.value(s | {j}) > gain + CHECK_TOL:
                 raise OracleViolation(f"not submodular at {sorted(s)} with {i},{j}")
 
 

@@ -147,8 +147,8 @@ def test_criterion_5_truthfulness_property_suite():
     pareto_fail = ic_fail = rationality_fail = 0
     for inst in insts:
         out = engine.solve(inst)
-        rep_ir = check_ir(inst, out, tol=1e-9)
-        rep_b = check_budget(inst, out, tol=1e-9)
+        rep_ir = check_ir(inst, out, slack=1e-9)
+        rep_b = check_budget(inst, out, slack=1e-9)
         worst_ir = max(worst_ir, rep_ir.worst_violation)
         worst_budget = max(worst_budget, rep_b.worst_violation)
         if not (rep_ir.passed and rep_b.passed):
@@ -175,7 +175,7 @@ def test_criterion_6_trace_invariants_on_the_corpus():
     bad = 0
     first = None
     for inst in _theorem5_corpus():
-        msgs = verify_trace(engine.trace(inst), rtol=1e-8)
+        msgs = verify_trace(engine.trace(inst))
         if msgs:
             bad += 1
             first = first or (inst, msgs[0])

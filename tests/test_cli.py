@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import clinch
+from clinch import checks
 from clinch.cli import main
 from clinch.core import dumps
 
@@ -223,6 +225,22 @@ class TestVcg:
                            "--family", "capped", "--caps", "1", "1")
         assert json.loads(out) == {"x": [1, 1], "pi": [0, 0]}
 
+    @pytest.mark.parametrize("values, table, message", [
+        ([3, 2], {"0": 1, "1": 1, "0,1": 5}, "not submodular"),
+        # the greedy and its payments never read the capacity of {2}
+        ([3, 2, 1], {"0": 1, "1": 1, "0,1": 1, "0,2": 1, "1,2": 1, "0,1,2": 1},
+         "no entry for subset [2]")])
+    def test_table_is_checked(self, capsys, tmp_path, values, table, message):
+        inst = tmp_path / "inst.json"
+        inst.write_text(dumps({"values": values, "budgets": [0] * len(values),
+                               "supply": 0}))
+        path = tmp_path / "table.json"
+        path.write_text(dumps(table))
+        code, out, err = run(capsys, "vcg", "--input", str(inst), "--table", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
     def test_explicit_table(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
         inst.write_text(dumps({"values": [3, 1], "budgets": [0, 0], "supply": 0}))
@@ -356,3 +374,43 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--input", showcase_file, "--tolerance", "1e-6"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--seed", "1"], ["trace", "--seed", "1"], ["stream", "--seed", "1"],
+        ["vcg", "--family", "multiunit", "--seed", "1"], ["stream", "--format", "json"]])
+    def test_seed_belongs_to_check_and_stream_has_no_format(self, capsys,
+                                                            showcase_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", showcase_file])
+        assert exc.value.code == 2
+
+    def test_n2_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["n2", "--v", "1", "2", "--b", "3", "2", "--s", "1", "--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("prop, checker, corpus", [
+        ("ic", checks.check_ic, "count=3"),
+        ("ir", checks.check_ir, "count=50"),
+        ("budget", checks.check_budget, "count=50"),
+        ("monotone", checks.check_supply_monotonicity, "count=20")])
+    def test_default_slack_is_the_checkers_own(self, capsys, monkeypatch, prop,
+                                               checker, corpus):
+        # without --tolerance the checker runs at its own default slack, so
+        # the two cannot drift apart
+        default = inspect.signature(checker).parameters["slack"].default
+        slacks = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(checker).bind(*args, **kwargs)
+            bound.apply_defaults()
+            slacks.append(bound.arguments["slack"])
+            return checker(*args, **kwargs)
+
+        argv = ["check", "--property", prop, "--corpus", corpus, "--seed", "2"]
+        _, plain, _ = run(capsys, *argv)
+        _, given, _ = run(capsys, *argv, "--tolerance", repr(default))
+        assert plain == given
+        monkeypatch.setattr(checks, checker.__name__, spy)
+        assert run(capsys, *argv)[1] == plain
+        assert slacks and set(slacks) == {default}

@@ -391,7 +391,7 @@ class TestProperties:
             u = inst.values[i] * out.allocation[i] - out.payments[i]
             assert u >= -1e-9 * max(1.0, abs(u))
         assert solve(inst) == out
-        assert verify_trace(tr, rtol=1e-8) == []
+        assert verify_trace(tr) == []
 
     @given(instances(n_min=2, n_max=4))
     def test_all_positive_values_sell_out(self, inst):
