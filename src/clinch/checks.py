@@ -17,15 +17,12 @@ import numpy as np
 from . import engine, oracle
 from .core import (
     EVENT_EXIT,
-    REL_TOL,
     AuctionError,
     EventTrace,
     NonFinite,
     Outcome,
     PriceState,
     ValidatedInstance,
-    close,
-    leq,
     tol,
     validate_instance,
 )
@@ -33,9 +30,8 @@ from .engine import state_at, wishful_allocation
 
 # where `verify_trace` samples the snapshot laws inside each clinching segment
 _INTERIOR = np.linspace(0.15, 0.85, 5).tolist()
-# Fixed slacks.  `verify_trace`'s is above `core.ABS_FLOOR`, so the rule that
-# `core.tol` would give at it is TRACE_REL * max(1, |x|).
-TRACE_REL = 1e-8
+# Fixed slacks.
+TRACE_REL = 1e-8  # every trace law's relative slack, times max(1, |x|, ...)
 PARETO_REL = 1e-9  # the Pareto characterization's relative money slack
 SEARCH_MARGIN = 1e-6  # the gain a dominating outcome from the search must beat
 CONVERGENCE_SHRINK = 1.5  # the Euler mean error's required ratio from h to h/2
@@ -448,7 +444,7 @@ def check_supply_monotonicity(values, budgets, supply_pairs,
 # ---------------------------------------------------------------------------
 # Engine-vs-integrator agreement
 
-def check_oracle_agreement(instances, h: float = 1e-4, slack: float | None = None
+def check_oracle_agreement(instances, h: float, slack: float | None = None
                            ) -> PropertyReport:
     """Componentwise engine/integrator agreement at step h, plus first-order
     convergence: the corpus mean error must shrink by `CONVERGENCE_SHRINK`
@@ -523,13 +519,18 @@ def _segment_integrals(start: PriceState, p1: float) -> tuple[list[float], float
     return drops, money
 
 
+def _near(a: float, b: float) -> bool:
+    """a and b agree within `TRACE_REL` * max(1, |a|, |b|)."""
+    return abs(a - b) <= TRACE_REL * max(1.0, abs(a), abs(b))
+
+
 def check_price_state(state: PriceState, initial_budgets: Sequence[float],
-                      total_supply: float, rel: float = REL_TOL,
-                      clinching_subset: bool = False) -> list[str]:
+                      total_supply: float, clinching_subset: bool = False) -> list[str]:
     """Return violation messages for the structural snapshot invariants.
 
-    Checks, against tolerance `rel`: the remnant-supply identity, the active
-    set bounds {i: v_i > p} <= A <= {i: v_i >= p, v_i > 0} (players with
+    Checks, within the slack `TRACE_REL` * max(1, |a|, |b|) for compared
+    quantities a and b: the remnant-supply identity, the active set bounds
+    {i: v_i > p} <= A <= {i: v_i >= p, v_i > 0} (players with
     v_i = p are still active at the left limit of their exit and between
     the removals of a tied group), the supply inequality for every active
     player, the remaining-budget profile min{B_i(0), B_*} and, when the
@@ -543,7 +544,7 @@ def check_price_state(state: PriceState, initial_budgets: Sequence[float],
     """
     bad: list[str] = []
     p, n, values = state.price, state.n, state.values
-    if not close(state.supply, total_supply - sum(state.allocation), rel):
+    if not _near(state.supply, total_supply - sum(state.allocation)):
         bad.append(f"supply identity: S={state.supply} vs s-sum(x)={total_supply - sum(state.allocation)}")
     must = frozenset(i for i in range(n) if values[i] > p)
     may = frozenset(i for i in range(n) if values[i] >= p and values[i] > 0.0)
@@ -554,15 +555,16 @@ def check_price_state(state: PriceState, initial_budgets: Sequence[float],
         total = sum(state.budgets[j] for j in state.active)
         for i in state.active:
             others = (total - state.budgets[i]) / p
-            if not leq(state.supply, others, rel):
+            band = TRACE_REL * max(1.0, abs(state.supply), abs(others))
+            if not state.supply <= others + band:
                 bad.append(f"supply inequality fails for player {i}: S={state.supply} > {others}")
     bstar = state.max_budget()
     for i in state.active:
         want = min(initial_budgets[i], bstar)
-        if not close(state.budgets[i], want, rel):
+        if not _near(state.budgets[i], want):
             bad.append(f"budget profile: B_{i}={state.budgets[i]} != min(B0, B*)={want}")
     if state.clinching:
-        tied = frozenset(i for i in state.active if close(state.budgets[i], bstar, rel))
+        tied = frozenset(i for i in state.active if _near(state.budgets[i], bstar))
         if clinching_subset:
             if not state.clinching <= tied:
                 bad.append(f"clinching set {sorted(state.clinching)} not within "
@@ -598,8 +600,7 @@ def verify_trace(tr: EventTrace) -> list[str]:
     values = tr.values
 
     def laws(st: PriceState, label: str, clinching_subset: bool = False) -> None:
-        for msg in check_price_state(st, tr.budgets, tr.supply, TRACE_REL,
-                                     clinching_subset):
+        for msg in check_price_state(st, tr.budgets, tr.supply, clinching_subset):
             bad.append(f"{label}: {msg}")
 
     def visit(st: PriceState, label: str, clinching_subset: bool = False) -> None:

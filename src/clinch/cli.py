@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 
@@ -204,10 +205,12 @@ def _cmd_check(args) -> int:
     defaults, keywords, check_one = _CHECKS[args.property]
     reads = {*defaults} if check_one is None else {*_SPEC_FIELDS, *keywords}
     given = _parse_corpus(args.corpus)
-    for key in given:
+    for key, val in given.items():
         if key not in reads:
             raise ValueError(f"--corpus key {key!r} is not read by --property "
                              f"{args.property}, which reads {', '.join(sorted(reads))}")
+        if not math.isfinite(val):
+            raise ValueError(f"--corpus {key} must be finite, got {val}")
     opts = {key: int(val) if key in _INT_KEYS else val
             for key, val in {**defaults, **given}.items()}
     if opts["count"] < 1:

@@ -3,7 +3,7 @@
 Everything downstream works on validated instances: a vector of per-unit
 valuations, a vector of budgets (money) and a total supply of a divisible
 good.  All quantities are IEEE doubles; equality between money/supply
-quantities is relative with an absolute floor, by the one rule in `tol`.
+quantities is relative to max(1, |x|), by the one rule in `tol`.
 """
 from __future__ import annotations
 
@@ -15,23 +15,22 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 REL_TOL = 1e-9
-ABS_FLOOR = 1e-12
 SUPPLY_FLOOR = 1e-12  # remnant supply at or below this counts as sold out
 
 
-def tol(x: float, *xs: float, rel: float = REL_TOL) -> float:
-    """The tolerance rule: rel * max(1, |x|, |xs|...), floored at ABS_FLOOR."""
-    return max(ABS_FLOOR, rel * max(1.0, abs(x), *map(abs, xs)))
+def tol(x: float, *xs: float) -> float:
+    """The tolerance rule: REL_TOL * max(1, |x|, |xs|...)."""
+    return REL_TOL * max(1.0, abs(x), *map(abs, xs))
 
 
-def close(a: float, b: float, rel: float = REL_TOL) -> bool:
+def close(a: float, b: float) -> bool:
     """True when a and b agree within `tol(a, b)`."""
-    return abs(a - b) <= tol(a, b, rel=rel)
+    return abs(a - b) <= tol(a, b)
 
 
-def leq(a: float, b: float, rel: float = REL_TOL) -> bool:
+def leq(a: float, b: float) -> bool:
     """a <= b up to `tol(a, b)`."""
-    return a <= b + tol(a, b, rel=rel)
+    return a <= b + tol(a, b)
 
 
 class AuctionError(Exception):

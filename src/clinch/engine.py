@@ -512,8 +512,8 @@ def wishful_allocation(state: PriceState) -> tuple[float, ...]:
     """Current allocation plus maximum further demand B_i/p, componentwise."""
     if state.price <= 0.0:
         raise ZeroPrice("wishful allocation is undefined at price 0")
-    return tuple(state.allocation[i] + state.budgets[i] / state.price
-                 for i in range(state.n))
+    p = state.price
+    return tuple(x + b / p for x, b in zip(state.allocation, state.budgets))
 
 
 def initial_state(inst) -> PriceState:

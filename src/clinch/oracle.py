@@ -223,8 +223,8 @@ class _Walk:
 def solve_euler(inst, h: float) -> Outcome:
     """Terminal outcome of the forward-Euler walk with price step h."""
     vinst = inst if isinstance(inst, ValidatedInstance) else validate_instance(inst)
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     if vinst.n < 2:
         raise ValueError("the integration oracle needs at least two players")
     walk = _Walk(vinst, h)

@@ -15,10 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ABS_FLOOR, OracleViolation, Outcome, validate_instance
+from .core import OracleViolation, Outcome, validate_instance
 
-CHECK_TOL = 1e-9  # `SubmodularOracle.check`'s slack
-CHECK_TRIALS = 200  # its number of random triples above 12 players
+# the monotonicity slack of `SubmodularOracle.check` and `vcg_polymatroid`
+CHECK_TOL = 1e-9
+CHECK_TRIALS = 200  # `SubmodularOracle.check`'s random triples above 12 players
+EMPTY_TOL = 1e-12  # the largest capacity the empty set may report
 
 
 @dataclass
@@ -36,7 +38,7 @@ class SubmodularOracle:
     _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if abs(self.fn(frozenset())) > ABS_FLOOR:
+        if abs(self.fn(frozenset())) > EMPTY_TOL:
             raise OracleViolation("capacity of the empty set must be 0")
 
     def value(self, subset: frozenset) -> float:
@@ -157,7 +159,7 @@ def vcg_polymatroid(values, oracle: SubmodularOracle) -> Outcome:
     x_rank = []
     for r in range(n):
         marginal = oracle.value(prefix[r + 1]) - oracle.value(prefix[r])
-        if marginal < -1e-9:
+        if marginal < -CHECK_TOL:
             raise OracleViolation(f"negative marginal for rank {r}")
         x_rank.append(marginal)
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from clinch.core import (
-    ABS_FLOOR,
     EVENT_CLINCH_ENTRY,
     EVENT_EXIT,
     Event,
@@ -23,9 +22,16 @@ from clinch.core import (
     PriceState,
     ValidatedInstance,
     ZeroPrice,
-    close,
     validate_instance,
 )
+
+# The tolerance rule this loop was checked with, copied so that it stays
+# frozen when `clinch.core`'s rule changes.
+_ABS_FLOOR = 1e-12
+
+
+def _close(a: float, b: float, rel: float) -> bool:
+    return abs(a - b) <= max(_ABS_FLOOR, rel * max(1.0, abs(a), abs(b)))
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,7 @@ def _ensure_validated(inst) -> ValidatedInstance:
 
 def _money_tol(cfg: EngineConfig, *xs: float) -> float:
     scale = max(1.0, *map(abs, xs)) if xs else 1.0
-    return max(ABS_FLOOR, cfg.rel_tol * scale)
+    return max(_ABS_FLOOR, cfg.rel_tol * scale)
 
 
 def _segment_advance(p: float, p_new: float, x: list, B: list, S: float,
@@ -155,18 +161,18 @@ class _Run:
         bstar = max(self.B[i] for i in self.active)
         if self.clinching:
             self.clinching = {i for i in self.active
-                              if close(self.B[i], bstar, self.cfg.rel_tol)}
+                              if _close(self.B[i], bstar, self.cfg.rel_tol)}
         elif self.S > self.cfg.supply_floor:
             pe = _entry_price(self.p, self.B, self.S, self.active, self.clinching)
             if pe <= self.p + _money_tol(self.cfg, self.p):
                 self.clinching = {i for i in self.active
-                                  if close(self.B[i], bstar, self.cfg.rel_tol)}
+                                  if _close(self.B[i], bstar, self.cfg.rel_tol)}
 
     def do_entry(self, pe: float) -> None:
         self.advance_to(pe)
         bstar = max(self.B[i] for i in self.active)
         joiners = {i for i in self.active - self.clinching
-                   if close(self.B[i], bstar, self.cfg.rel_tol)}
+                   if _close(self.B[i], bstar, self.cfg.rel_tol)}
         if not joiners:
             raise NumericalDivergence(f"entry event at p={pe} added no players")
         self.clinching |= joiners
@@ -237,7 +243,7 @@ class _Run:
                 raise NumericalDivergence("event loop failed to terminate")
             v_next = min(self.values[i] for i in self.active)
             pe = _entry_price(self.p, self.B, self.S, self.active, self.clinching)
-            if pe < v_next and not close(pe, v_next, self.cfg.rel_tol):
+            if pe < v_next and not _close(pe, v_next, self.cfg.rel_tol):
                 if pe <= self.p:
                     raise NumericalDivergence(
                         f"entry price {pe} does not advance past {self.p}")

@@ -353,6 +353,18 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:") and "nmin=3" in err and "nmax=2" in err
 
+    @pytest.mark.parametrize("prop, corpus", [
+        ("ic", "count=inf"), ("ic", "count=1e400"), ("ic", "points=inf"),
+        ("ir", "nmax=inf"), ("ir", "vmax=nan"), ("budget", "smax=-inf"),
+        ("pareto", "candidates=inf"), ("monotone", "pairs=inf"), ("oracle", "h=inf"),
+        ("oracle", "h=nan")])
+    def test_non_finite_corpus_value_is_usage_error(self, capsys, prop, corpus):
+        key = corpus.partition("=")[0]
+        code, out, err = run(capsys, "check", "--property", prop, "--corpus", corpus)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"--corpus {key} must be finite" in err
+
     @pytest.mark.parametrize("slack", ["1e300", "-5", "0"])
     def test_tolerance_is_usage_error_for_pareto(self, capsys, slack):
         code, out, err = run(capsys, "check", "--property", "pareto",

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from clinch import cli, core, engine, two_player
-from clinch.checks import check_price_state, stratified_two_player
+from clinch.checks import TRACE_REL, check_price_state, stratified_two_player
 from clinch.core import (
     AuctionError,
     BudgetExceeded,
@@ -108,16 +108,12 @@ class TestTolerance:
         assert close(0.0, 1e-13)
 
     @settings(max_examples=500)
-    @given(FINITE, FINITE, FINITE, st.sampled_from([1e-18, 1e-9, 1e-8, 1e-3]))
-    @example(1e-9, 0.0, 0.0, 1e-9)  # a gap of exactly the band is inside it
-    def test_rule_is_the_floored_relative_formula_bit_for_bit(self, a, b, c, rel):
-        band = max(1e-12, rel * max(1.0, abs(a), abs(b)))
-        assert tol(a, b, rel=rel).hex() == band.hex()
+    @given(FINITE, FINITE, FINITE)
+    @example(1e-9, 0.0, 0.0)  # a gap of exactly the band is inside it
+    def test_rule_is_the_floored_relative_formula_bit_for_bit(self, a, b, c):
         assert tol(a).hex() == max(1e-12, 1e-9 * max(1.0, abs(a))).hex()
         assert (tol(a, b, c).hex()
                 == max(1e-12, 1e-9 * max(1.0, abs(a), abs(b), abs(c))).hex())
-        assert close(a, b, rel) is (abs(a - b) <= band)
-        assert leq(a, b, rel) is (a <= b + band)
         default = max(1e-12, 1e-9 * max(1.0, abs(a), abs(b)))
         assert close(a, b) is (abs(a - b) <= default)
         assert leq(a, b) is (a <= b + default)
@@ -361,3 +357,19 @@ class TestPriceState:
             "supply inequality fails for player 2: S=3.0 > 2.0"]
         st = replace(st, budgets=(1.0, 1.0, 1.0))
         assert len(check_price_state(st, (1.0, 1.0, 1.0), inst.supply)) == 3
+
+    @pytest.mark.parametrize("law", ["budget profile", "supply identity"])
+    @pytest.mark.parametrize("gap, flagged", [(0.5, False), (2.0, True)])
+    def test_band_is_the_trace_slack_relative_to_the_quantities(self, law, gap, flagged):
+        # at money and supply 1000 the band is 1000 * TRACE_REL, so an
+        # absolute band of TRACE_REL would flag both gaps
+        inst = validate_instance(values=[9, 10, 11, 5.7],
+                                 budgets=[3000, 2000, 1000, 500], supply=1000)
+        st = initial_state(inst)
+        nudge = 1.0 + gap * TRACE_REL
+        if law == "budget profile":
+            st = replace(st, budgets=(3000.0, 2000.0 * nudge, 1000.0, 500.0))
+        else:
+            st = replace(st, supply=1000.0 * nudge)
+        bad = check_price_state(st, inst.budgets, inst.supply)
+        assert [msg.split(":")[0] for msg in bad] == ([law] if flagged else [])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ class TestPreconditions:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_euler(SHOWCASE, 0.0)
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_step_must_be_finite(self, h):
+        with pytest.raises(ValueError, match="finite"):
+            solve_euler(SHOWCASE, h)
 
     def test_needs_two_players(self):
         with pytest.raises(ValueError):
