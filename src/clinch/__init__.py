@@ -9,13 +9,10 @@ from .core import (
     Outcome,
     PriceState,
     ValidatedInstance,
-    utility,
     validate_instance,
 )
 from .engine import (
     evolve,
-    exit_step,
-    next_event_price,
     run_trace,
     solve,
     trace,
@@ -30,12 +27,9 @@ __all__ = [
     "PriceState",
     "ValidatedInstance",
     "evolve",
-    "exit_step",
-    "next_event_price",
     "run_trace",
     "solve",
     "trace",
-    "utility",
     "validate_instance",
     "wishful_allocation",
 ]

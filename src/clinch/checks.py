@@ -192,7 +192,7 @@ def misreport_grid(inst: ValidatedInstance, player: int, points: int) -> list[fl
 def _misreported(inst: ValidatedInstance, i: int, report: float) -> ValidatedInstance:
     """`inst` with player i's value replaced by `report`: only the new value
     needs checking (grid points are non-negative) and only the value order
-    changes, sorted stably as `core.player_orders` sorts it."""
+    changes, sorted stably as `validate_instance` sorts it."""
     if not report < math.inf:  # the grid over [0, 2 max v] overflowed
         raise NonFinite(f"values contains a non-finite entry: {report!r}")
     vals = list(inst.values)

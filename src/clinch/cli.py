@@ -19,10 +19,12 @@ from .core import (
     AuctionError,
     FloatMemo,
     IdsText,
+    LengthMismatch,
     Outcome,
     RowText,
     dumps,
     instance_from_json,
+    json_number,
 )
 
 
@@ -109,13 +111,15 @@ def _cmd_stream(args) -> int:
     from . import stream  # only stream needs it
 
     inst = instance_from_json(_read_input(args.input), require_supply=False)
-    sup = stream.init_stream(inst.values, inst.budgets)
+    sup = stream.SupplyStream(inst.values, inst.budgets)
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
         doc = json.loads(line)
-        delta = sup.on_supply(float(doc["supply"]))
+        if type(doc) is not dict or "supply" not in doc:
+            raise LengthMismatch(f'expected a line {{"supply": number}}, got {line}')
+        delta = sup.on_supply(json_number(doc["supply"], "supply"))
         print(dumps({"s_cum": sup.supply,
                      "delta_x": list(delta.delta_x),
                      "delta_pi": list(delta.delta_pay),
@@ -146,7 +150,11 @@ def _cmd_vcg(args) -> int:
     inst = instance_from_json(_read_input(args.input), require_supply=True)
     if args.table is not None:
         table = json.loads(_read_input(args.table))
-        oracle = vcg.oracle_from_table(inst.n, table)
+        if type(table) is not dict:
+            raise LengthMismatch(f"--table must be an object of capacities, got "
+                                 f"{json.dumps(table)}")
+        oracle = vcg.oracle_from_table(inst.n, {key: json_number(units, f"--table {key!r}")
+                                                for key, units in table.items()})
         oracle.check()
         out = vcg.vcg_polymatroid(inst.values, oracle)
     elif args.family == "multiunit":

@@ -28,11 +28,6 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= tol(a, b)
 
 
-def leq(a: float, b: float) -> bool:
-    """a <= b up to `tol(a, b)`."""
-    return a <= b + tol(a, b)
-
-
 class AuctionError(Exception):
     """Base class for every error raised by this package."""
 
@@ -53,16 +48,8 @@ class EmptyInstance(AuctionError):
     pass
 
 
-class BudgetExceeded(AuctionError):
-    """Payment above the declared budget (the -infinity utility branch)."""
-
-
 class NumericalDivergence(AuctionError):
     """The event loop failed to advance the price clock."""
-
-
-class NoActivePlayers(AuctionError):
-    pass
 
 
 class EventSkipped(AuctionError):
@@ -152,16 +139,10 @@ def validate_instance(
     if len(vals) != len(buds):
         raise LengthMismatch(f"{len(vals)} values vs {len(buds)} budgets")
     (sup,) = _as_floats("supply", [supply])
-    return ValidatedInstance(vals, buds, sup, *player_orders(vals, buds))
-
-
-def player_orders(values: tuple[float, ...], budgets: tuple[float, ...]
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`value_order` and `budget_order` (see ValidatedInstance)."""
     # sorted is stable, also with reverse=True: equal keys keep index order
-    ids = range(len(values))
-    return (tuple(sorted(ids, key=values.__getitem__)),
-            tuple(sorted(ids, key=budgets.__getitem__, reverse=True)))
+    ids = range(len(vals))
+    return ValidatedInstance(vals, buds, sup, tuple(sorted(ids, key=vals.__getitem__)),
+                             tuple(sorted(ids, key=buds.__getitem__, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -178,17 +159,6 @@ class Outcome:
     @property
     def n(self) -> int:
         return len(self.allocation)
-
-
-def utility(inst: ValidatedInstance, outcome: Outcome, i: int) -> float:
-    """Budget-constrained utility v_i * x_i - pay_i for player i.
-
-    Raises BudgetExceeded instead of returning the -infinity branch.
-    """
-    pay = outcome.payments[i]
-    if not leq(pay, inst.budgets[i]):
-        raise BudgetExceeded(f"player {i} pays {pay} with budget {inst.budgets[i]}")
-    return inst.values[i] * outcome.allocation[i] - pay
 
 
 @dataclass(frozen=True)
@@ -228,8 +198,8 @@ class Event:
     Exits at a repeated value are recorded as one event per removed player,
     all sharing the price; entries list every player that joined together.
     The state just before the event is not stored: it is the previous
-    event's `after` (or the initial state) evolved to `price`, which
-    `engine.left_limit` rebuilds.
+    event's `after` (or the initial state) evolved to `price` by
+    `engine.evolve`.
     """
 
     kind: str
@@ -435,6 +405,22 @@ def instance_to_json(inst: ValidatedInstance) -> str:
                   "supply": inst.supply})
 
 
+def json_number(x, name: str) -> float:
+    """`x`, a value that `json.loads` returned, as a float: only a finite JSON
+    number passes.  A boolean, string, null, array or object raises
+    LengthMismatch; NaN, an infinity, or an integer beyond the double range
+    raises NonFinite.  Either names `name`."""
+    if type(x) not in (int, float):
+        raise LengthMismatch(f"{name} must be a number, got {json.dumps(x)}")
+    try:
+        x = float(x)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise NonFinite(f"{name} must be a finite number")
+    return x
+
+
 def instance_from_json(text: str, *, require_supply: bool = True) -> ValidatedInstance:
     """Parse the shared instance schema; supply defaults to 0 when optional."""
     try:
@@ -445,6 +431,13 @@ def instance_from_json(text: str, *, require_supply: bool = True) -> ValidatedIn
         raise LengthMismatch(f"expected schema {INSTANCE_SCHEMA}")
     if require_supply and "supply" not in doc:
         raise LengthMismatch(f"expected schema {INSTANCE_SCHEMA}")
-    return validate_instance(values=doc["values"], budgets=doc["budgets"],
-                             supply=doc.get("supply", 0.0))
+
+    def numbers(key: str) -> list[float]:
+        row = doc[key]
+        if type(row) is not list:
+            raise LengthMismatch(f"{key} must be an array of numbers, got {json.dumps(row)}")
+        return [json_number(x, f"{key}[{i}]") for i, x in enumerate(row)]
+
+    return validate_instance(values=numbers("values"), budgets=numbers("budgets"),
+                             supply=json_number(doc.get("supply", 0.0), "supply"))
 

@@ -43,7 +43,6 @@ from .core import (
     EventSkipped,
     EventTrace,
     NegativeBudget,
-    NoActivePlayers,
     NumericalDivergence,
     Outcome,
     PriceState,
@@ -51,7 +50,6 @@ from .core import (
     ValidatedInstance,
     ZeroPrice,
     close,
-    player_orders,
     tol,
     validate_instance,
 )
@@ -121,26 +119,6 @@ class _Run:
         self.bottom = self.n - 1  # budget_order index of the smallest outsider
         self.b0_max = max(self.b0)
         self.notes: list[str] = []
-
-    @classmethod
-    def resume(cls, state: PriceState) -> "_Run":
-        """A run restarted from a snapshot; its budgets stand in for B_i(0).
-
-        The snapshot is engine output, not user input: its budgets may have
-        drifted below zero on degenerate instances, so they are not validated.
-        """
-        inst = ValidatedInstance(state.values, state.budgets, state.supply,
-                                 *player_orders(state.values, state.budgets))
-        run = cls(inst)
-        run.p = state.price
-        run.x = list(state.allocation)
-        run.active = set(state.active)
-        run.clinching = {i: -state.allocation[i] for i in state.clinching}
-        run.bstar = max((state.budgets[i] for i in state.clinching), default=0.0)
-        outsiders = state.active - state.clinching
-        run.n_out = len(outsiders)
-        run.rest = math.fsum(state.budgets[i] for i in outsiders)
-        return run
 
     def sync(self) -> None:
         """Write the clinchers' allocations and budgets back to x and B."""
@@ -454,17 +432,6 @@ def trace(inst) -> EventTrace:
                       final, outcome, notes)
 
 
-def next_event_price(state: PriceState) -> tuple[float, str]:
-    """Price and kind of the next event from this snapshot.
-
-    Ties between an entry and an exit within tolerance resolve to the exit;
-    the entry is absorbed by the discrete clinch step there.
-    """
-    if not state.active:
-        raise NoActivePlayers("no active players at this state")
-    return _Run.resume(state).next_event()
-
-
 def evolve(state: PriceState, p_new: float) -> PriceState:
     """Evolve the snapshot along the closed form to price p_new.
 
@@ -497,17 +464,6 @@ def evolve(state: PriceState, p_new: float) -> PriceState:
     return out
 
 
-def exit_step(state: PriceState, value: float) -> PriceState:
-    """Apply the discrete exit procedure at `value` to a left-limit snapshot,
-    where `value` is the lowest value among the active players."""
-    run = _Run.resume(state)
-    run.p = value
-    if not state.active or run.lowest_value() != value:
-        raise ValueError(f"{value} is not the lowest value of an active player")
-    run.do_exit(value)
-    return run.snap(value)
-
-
 def wishful_allocation(state: PriceState) -> tuple[float, ...]:
     """Current allocation plus maximum further demand B_i/p, componentwise."""
     if state.price <= 0.0:
@@ -522,13 +478,6 @@ def initial_state(inst) -> PriceState:
     active = frozenset(i for i in range(vinst.n) if vinst.values[i] > 0.0)
     return PriceState(0.0, (0.0,) * vinst.n, vinst.budgets, vinst.supply,
                       active, frozenset(), vinst.values)
-
-
-def left_limit(tr: EventTrace, k: int) -> PriceState:
-    """The state just before event k: the state after event k-1 (the initial
-    state for k = 0) evolved to event k's price."""
-    prev = tr.events[k - 1].after if k else initial_state(tr)
-    return evolve(prev, tr.events[k].price)
 
 
 def state_at(tr: EventTrace, p: float) -> PriceState:

@@ -90,8 +90,3 @@ class SupplyStream:
         """Current utilities v_i * x_i - pay_i; non-decreasing across increments."""
         return tuple(self.inst.values[i] * self.outcome.allocation[i]
                      - self.outcome.payments[i] for i in range(self.inst.n))
-
-
-def init_stream(values, budgets) -> SupplyStream:
-    """Fresh stream at zero cumulative supply."""
-    return SupplyStream(values, budgets)

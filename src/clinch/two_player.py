@@ -49,6 +49,19 @@ def _knee(b1: float, b2: float) -> float:
     return math.exp(lk) if lk < 700.0 else math.inf
 
 
+def _budget_ordered(v1: float, v2: float, b1: float, b2: float, s: float):
+    """Validate the instance and relabel its players so that b1 >= b2.
+
+    Returns the validated instance, the relabelled (v1, v2, b1, b2, s) and
+    `back`, which maps a pair in the relabelled order to the caller's order.
+    """
+    inst = validate_instance(values=[v1, v2], budgets=[b1, b2], supply=s)
+    (v1, v2), (b1, b2) = inst.values, inst.budgets
+    if b1 >= b2:
+        return inst, (v1, v2, b1, b2, inst.supply), lambda pair: pair
+    return inst, (v2, v1, b2, b1, inst.supply), lambda pair: pair[::-1]
+
+
 def _classify(v1: float, v2: float, b1: float, b2: float, s: float) -> Regime:
     """Regime of a budget-ordered (b1 >= b2, both positive) instance.
 
@@ -76,13 +89,7 @@ def solve_n2(v1: float, v2: float, b1: float, b2: float, s: float
     zero value falls outside the closed forms (their logarithms degenerate)
     and is delegated to the event engine.
     """
-    inst = validate_instance(values=[v1, v2], budgets=[b1, b2], supply=s)
-    v1, v2 = inst.values
-    b1, b2 = inst.budgets
-    s = inst.supply
-    swap = b1 < b2
-    if swap:
-        v1, v2, b1, b2 = v2, v1, b2, b1
+    inst, (v1, v2, b1, b2, s), back = _budget_ordered(v1, v2, b1, b2, s)
     if b2 <= 0.0 or min(v1, v2) <= 0.0:
         return engine.solve(inst), RegimeLabel(Regime.DEGENERATE, math.inf)
 
@@ -109,9 +116,7 @@ def solve_n2(v1: float, v2: float, b1: float, b2: float, s: float
         x = (s - x2, x2)
         pay = (b1, b2 - knee * b2 / (s * v2))
 
-    if swap:
-        x, pay = (x[1], x[0]), (pay[1], pay[0])
-    return Outcome(x, pay), RegimeLabel(regime, knee)
+    return Outcome(back(x), back(pay)), RegimeLabel(regime, knee)
 
 
 def marginal_rates_n2(v1: float, v2: float, b1: float, b2: float, s: float
@@ -122,13 +127,7 @@ def marginal_rates_n2(v1: float, v2: float, b1: float, b2: float, s: float
     tolerance of a regime boundary (or the instance is degenerate), where
     the one-sided derivatives disagree.
     """
-    inst = validate_instance(values=[v1, v2], budgets=[b1, b2], supply=s)
-    v1, v2 = inst.values
-    b1, b2 = inst.budgets
-    s = inst.supply
-    swap = b1 < b2
-    if swap:
-        v1, v2, b1, b2 = v2, v1, b2, b1
+    _, (v1, v2, b1, b2, s), back = _budget_ordered(v1, v2, b1, b2, s)
     if b2 <= 0.0 or min(v1, v2) <= 0.0 or s <= 0.0:
         raise OnRegimeBoundary("degenerate instance: zero budget, value or supply")
 
@@ -157,6 +156,4 @@ def marginal_rates_n2(v1: float, v2: float, b1: float, b2: float, s: float
         dx = (1.0 - dx2, dx2)
         dpay = (0.0, knee * b2 / (s * s * v2))
 
-    if swap:
-        dx, dpay = (dx[1], dx[0]), (dpay[1], dpay[0])
-    return dx, dpay, RegimeLabel(regime, knee)
+    return back(dx), back(dpay), RegimeLabel(regime, knee)

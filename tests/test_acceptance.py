@@ -23,7 +23,7 @@ from clinch.checks import (
     verify_trace,
 )
 from clinch.oracle import solve_euler
-from clinch.stream import init_stream
+from clinch.stream import SupplyStream
 from clinch.two_player import solve_n2
 
 SHOWCASE = validate_instance(values=[9, 10, 11, 5.7], budgets=[3, 2, 1, 0.5],
@@ -107,7 +107,7 @@ def test_criterion_4_supply_monotonicity_and_streaming():
         parts = rng.integers(1, 5)
         cuts = np.sort(rng.random(parts - 1)) * inst.supply
         chunks = np.diff([0.0, *cuts, inst.supply])
-        sup = init_stream(inst.values, inst.budgets)
+        sup = SupplyStream(inst.values, inst.budgets)
         cum = np.zeros(2 * inst.n)
         for c in chunks:
             if c <= 0.0:

@@ -66,6 +66,22 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--input", str(bad))
         assert code == 2 and "negative" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"values": 5, "budgets": [1], "supply": 1}', "values must be an array"),
+        ('{"values": [null], "budgets": [1], "supply": 1}', "values[0] must be a number"),
+        ('{"values": [1], "budgets": [1], "supply": [1]}', "supply must be a number"),
+        # a string is not an array of its digits, nor true the number 1
+        ('{"values": "12", "budgets": "34", "supply": 1}', "values must be an array"),
+        ('{"values": [true], "budgets": [1], "supply": 1}', "values[0] must be a number"),
+        ('{"values": [1], "budgets": [1%s], "supply": 1}' % ("0" * 400),
+         "budgets[0] must be a finite number")])
+    def test_only_json_numbers_are_read(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
 
 def _run_script(lines: list[str], *argv: str) -> subprocess.CompletedProcess:
     """Run a script in a fresh interpreter with this package on the path."""
@@ -188,6 +204,19 @@ class TestStream:
         total_dx = [a + b for a, b in zip(lines[0]["delta_x"], lines[1]["delta_x"])]
         assert total_dx == [0, 1]
 
+    @pytest.mark.parametrize("line, message", [
+        ("[1]", 'expected a line {"supply": number}'),
+        ("7", 'expected a line {"supply": number}'),
+        ('{"x": 1}', 'expected a line {"supply": number}'),
+        ('{"supply": null}', "supply must be a number"),
+        ('{"supply": "1"}', "supply must be a number")])
+    def test_only_a_json_number_supply_is_read(self, capsys, pair_file, monkeypatch,
+                                               line, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code, out, err = run(capsys, "stream", "--input", pair_file)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
 
 class TestN2:
     def test_golden_row(self, capsys):
@@ -229,7 +258,9 @@ class TestVcg:
         ([3, 2], {"0": 1, "1": 1, "0,1": 5}, "not submodular"),
         # the greedy and its payments never read the capacity of {2}
         ([3, 2, 1], {"0": 1, "1": 1, "0,1": 1, "0,2": 1, "1,2": 1, "0,1,2": 1},
-         "no entry for subset [2]")])
+         "no entry for subset [2]"),
+        ([3, 2], [1], "--table must be an object"),
+        ([3, 2], {"0": None, "1": 1, "0,1": 1}, "must be a number, got null")])
     def test_table_is_checked(self, capsys, tmp_path, values, table, message):
         inst = tmp_path / "inst.json"
         inst.write_text(dumps({"values": values, "budgets": [0] * len(values),

@@ -14,20 +14,16 @@ from clinch import cli, core, engine, two_player
 from clinch.checks import TRACE_REL, check_price_state, stratified_two_player
 from clinch.core import (
     AuctionError,
-    BudgetExceeded,
     EmptyInstance,
     FloatMemo,
     LengthMismatch,
     NegativeEntry,
     NonFinite,
-    Outcome,
     close,
     dumps,
     instance_from_json,
     instance_to_json,
-    leq,
     tol,
-    utility,
     validate_instance,
 )
 from clinch.engine import initial_state
@@ -76,22 +72,6 @@ class TestValidation:
         assert validate_instance(inst) == inst
 
 
-class TestUtility:
-    def test_direct_formula(self):
-        inst = validate_instance(values=[2], budgets=[5], supply=1)
-        assert utility(inst, Outcome((1.0,), (1.0,)), 0) == 1.0
-        assert utility(inst, Outcome((0.0,), (0.0,)), 0) == 0.0
-
-    def test_negative_utility_allowed_within_budget(self):
-        inst = validate_instance(values=[1], budgets=[2], supply=1)
-        assert utility(inst, Outcome((0.5,), (1.0,)), 0) == -0.5
-
-    def test_budget_exceeded_signalled(self):
-        inst = validate_instance(values=[2], budgets=[1], supply=1)
-        with pytest.raises(BudgetExceeded):
-            utility(inst, Outcome((1.0,), (1.5,)), 0)
-
-
 # finite doubles, with signed zeros, subnormals and magnitudes near 1e300 made
 # likely; the hex of a float is its bit pattern
 FINITE = st.one_of(
@@ -116,7 +96,6 @@ class TestTolerance:
                 == max(1e-12, 1e-9 * max(1.0, abs(a), abs(b), abs(c))).hex())
         default = max(1e-12, 1e-9 * max(1.0, abs(a), abs(b)))
         assert close(a, b) is (abs(a - b) <= default)
-        assert leq(a, b) is (a <= b + default)
 
     def test_knee_band_is_the_rule_over_spend_budget_and_knee(self):
         # marginal_rates_n2 flags the split boundary within tol(spend, b2, knee),

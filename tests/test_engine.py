@@ -10,15 +10,11 @@ from clinch.core import (
     EVENT_CLINCH_ENTRY,
     EVENT_EXIT,
     EventSkipped,
-    NoActivePlayers,
     ZeroPrice,
 )
 from clinch.engine import (
     evolve,
-    exit_step,
     initial_state,
-    left_limit,
-    next_event_price,
     run_trace,
     solve,
     state_at,
@@ -106,6 +102,7 @@ class TestTrace:
         assert tr.events[0].price == 3.5
         assert abs(tr.events[1].price - 3.5 * math.exp(2 / 7)) < 1e-12 * 4.7
         assert tr.events[2].price == 5.7
+        assert tr.events[2].after.clinching == tr.events[2].after.active
         assert tr.events[3].price == 9.0
 
     def test_single_exit_when_entry_price_exceeds_low_value(self):
@@ -115,7 +112,25 @@ class TestTrace:
         assert ev.price == 1.0 and ev.players == (0,)  # the exiting player
         assert ev.delta_x == (0.0, 1.0)                # the survivor clinches
         assert ev.delta_pay == (0.0, 1.0)
+        assert ev.after.allocation == (0.0, 1.0)
+        assert ev.after.budgets == (3.0, 1.0)
+        assert ev.after.supply == 0.0
         assert 1 in ev.after.clinching
+
+    def test_snapshots_with_negative_budgets_are_accepted(self):
+        # a zero-budget clincher's segment drives budgets below zero; snapshots
+        # of such a trace are engine output and are not re-validated as user
+        # input
+        tr = trace(validate_instance(values=[3, 2, 1], budgets=[0, 1, 0], supply=2))
+        assert evolve(tr.events[0].after, tr.events[1].price).budgets == (-0.5, -0.5, 0.0)
+        ev = tr.events[1]
+        assert (ev.kind, ev.price, ev.players) == (EVENT_EXIT, 2.0, (1,))
+        # these after-state numbers pin the zero-budget defect of ROADMAP
+        # item 1: the b->0+ limit would leave no budget below zero
+        assert ev.after.allocation == (0.375, 1.375, 0.0)
+        assert ev.after.budgets == (-0.5, -0.5, 0.0)
+        assert ev.after.supply == 0.25
+        assert ev.after.clinching == ev.after.active == frozenset({0})
 
     def test_entry_exit_tie_is_absorbed_into_the_exit(self):
         # entry price (3+2-3)/2 = 1 equals the low value: no entry event
@@ -188,30 +203,6 @@ def test_snapshots_change_only_at_clinchers_and_players(name):
     assert pairs > 0
 
 
-class TestNextEventPrice:
-    def test_showcase_first_entry(self):
-        p, kind = next_event_price(initial_state(SHOWCASE))
-        assert p == 3.5 and kind == EVENT_CLINCH_ENTRY
-
-    def test_exit_wins_when_entry_too_late(self):
-        st0 = initial_state(validate_instance(values=[1, 2], budgets=[3, 2], supply=1))
-        assert next_event_price(st0) == (1.0, EVENT_EXIT)
-
-    def test_everyone_clinching_means_next_exit(self):
-        tr = trace(SHOWCASE)
-        st = tr.events[2].after  # after the 5.7 exit: all actives clinch
-        assert st.clinching == st.active
-        p, kind = next_event_price(st)
-        assert kind == EVENT_EXIT and p == 9.0
-
-    def test_no_active_players_raises(self):
-        from dataclasses import replace
-        drained = replace(trace(SHOWCASE).final, active=frozenset(),
-                          clinching=frozenset())
-        with pytest.raises(NoActivePlayers):
-            next_event_price(drained)
-
-
 class TestEvolve:
     def test_identity(self):
         st = trace(SHOWCASE).events[0].after
@@ -242,57 +233,6 @@ class TestEvolve:
         st = trace(SHOWCASE).events[0].after
         with pytest.raises(EventSkipped):
             evolve(st, 5.5)  # player 1 enters at ~4.657 inside
-
-
-class TestExitStep:
-    def test_direct_substitution(self):
-        inst = validate_instance(values=[1, 2], budgets=[3, 2], supply=1)
-        st = initial_state(inst)
-        st = type(st)(1.0, st.allocation, st.budgets, st.supply,
-                      st.active, st.clinching, st.values)
-        after = exit_step(st, 1.0)
-        assert after.allocation == (0.0, 1.0)
-        assert after.budgets == (3.0, 1.0)
-        assert after.supply == 0.0
-        assert 1 in after.clinching
-
-    def test_no_supply_means_no_deltas(self):
-        inst = validate_instance(values=[1, 2], budgets=[3, 2], supply=0)
-        st = initial_state(inst)
-        st = type(st)(1.0, st.allocation, st.budgets, 0.0, st.active,
-                      st.clinching, st.values)
-        after = exit_step(st, 1.0)
-        assert after.allocation == (0.0, 0.0)
-        assert after.active == frozenset({1})
-
-    def test_only_the_lowest_active_value_exits(self):
-        inst = validate_instance(values=[1, 2], budgets=[3, 2], supply=1)
-        st = replace(initial_state(inst), price=1.0)
-        with pytest.raises(ValueError):
-            exit_step(st, 2.0)
-
-    def test_snapshots_with_negative_budgets_are_accepted(self):
-        # a zero-budget clincher's segment drives budgets below zero (see the
-        # zero-budget FOUND in CHANGES.md); snapshots of such a trace are
-        # engine output and must not be re-validated as user input
-        tr = trace(validate_instance(values=[3, 2, 1], budgets=[0, 1, 0], supply=2))
-        assert left_limit(tr, 1).budgets == (-0.5, -0.5, 0.0)
-        assert next_event_price(state_at(tr, 1.5)) == (2.0, EVENT_EXIT)
-        after = exit_step(left_limit(tr, 1), 2.0)
-        assert after.allocation == (0.375, 1.375, 0.0)
-        assert after.budgets == (-0.5, -0.5, 0.0)
-        assert after.supply == 0.25
-        assert after.clinching == after.active == frozenset({0})
-        for k, ev in enumerate(tr.events):
-            assert exit_step(left_limit(tr, k), ev.price) == ev.after
-
-    def test_tied_pair_removed_sequentially(self):
-        tied = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
-        out_tied = solve(tied)
-        # splitting the tie by a tiny gap (lower index exits first) approaches it
-        split = validate_instance(values=[2 - 1e-12, 2, 5], budgets=[1, 1, 3],
-                                  supply=1)
-        assert outcome_close(out_tied, solve(split), 1e-4)
 
 
 class TestStateAt:
@@ -346,9 +286,9 @@ class TestWishfulAllocation:
 
     def test_continuous_across_exit_events(self):
         tr = trace(SHOWCASE)
-        for k, ev in enumerate(tr.events):
+        for prev, ev in zip(tr.events, tr.events[1:]):  # the first is an entry
             if ev.kind == EVENT_EXIT:
-                pre = wishful_allocation(left_limit(tr, k))
+                pre = wishful_allocation(evolve(prev.after, ev.price))
                 post = wishful_allocation(ev.after)
                 assert all(abs(a - b) <= 1e-9 * max(1.0, abs(a))
                            for a, b in zip(pre, post))
@@ -376,6 +316,14 @@ class TestRepeatedValues:
         assert gaps_to_diffs[1e-3] > gaps_to_diffs[1e-6] > gaps_to_diffs[1e-9]
         assert gaps_to_diffs[1e-6] <= 1e-4
         assert gaps_to_diffs[1e-9] <= 1e-4
+
+    def test_tied_pair_removed_sequentially(self):
+        tied = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
+        out_tied = solve(tied)
+        # splitting the tie by a tiny gap (lower index exits first) approaches it
+        split = validate_instance(values=[2 - 1e-12, 2, 5], budgets=[1, 1, 3],
+                                  supply=1)
+        assert outcome_close(out_tied, solve(split), 1e-4)
 
 
 class TestProperties:

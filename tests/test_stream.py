@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from clinch.core import EmptyInstance, NonPositiveIncrement, validate_instance
 from clinch.engine import solve
-from clinch.stream import init_stream
+from clinch.stream import SupplyStream
 from clinch.checks import myerson_gap
 
 from conftest import instances
@@ -15,7 +15,7 @@ from conftest import instances
 
 class TestInit:
     def test_zero_state(self):
-        sup = init_stream([1, 2], [3, 2])
+        sup = SupplyStream([1, 2], [3, 2])
         assert sup.supply == 0.0
         assert sup.outcome.allocation == (0.0, 0.0)
         assert sup.utility_snapshot() == (0.0, 0.0)
@@ -25,10 +25,10 @@ class TestInit:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInstance):
-            init_stream([], [])
+            SupplyStream([], [])
 
     def test_single_bidder_stream(self):
-        sup = init_stream([2], [5])
+        sup = SupplyStream([2], [5])
         d = sup.on_supply(3)
         assert d.delta_x == (3.0,)
         assert d.delta_pay == (0.0,)
@@ -36,7 +36,7 @@ class TestInit:
 
 class TestIncrements:
     def test_first_unit_goes_to_the_high_value_player(self):
-        sup = init_stream([1, 2], [3, 2])
+        sup = SupplyStream([1, 2], [3, 2])
         d = sup.on_supply(1)
         assert d.delta_x == (0.0, 1.0)
         assert d.delta_pay == (0.0, 1.0)
@@ -44,7 +44,7 @@ class TestIncrements:
     def test_second_unit_after_budget_depletion(self):
         # with the poorer player on one unit of budget, the second unit flows
         # to the rich player at the log-discounted charge
-        sup = init_stream([1, 2], [3, 1])
+        sup = SupplyStream([1, 2], [3, 1])
         first = sup.on_supply(1)
         assert first.delta_x == (0.0, 1.0)
         assert first.delta_pay == (0.0, 1.0)
@@ -54,7 +54,7 @@ class TestIncrements:
         assert second.delta_pay[1] == 0.0
 
     def test_equal_budgets_keep_feeding_the_high_value_player(self):
-        sup = init_stream([1, 2], [3, 2])
+        sup = SupplyStream([1, 2], [3, 2])
         sup.on_supply(1)
         d = sup.on_supply(1)
         assert d.delta_x == (0.0, 1.0)
@@ -65,20 +65,20 @@ class TestIncrements:
         # less, which the stream reported as a MonotonicityViolation
         rng = np.random.default_rng(1)
         n = 64
-        sup = init_stream(np.round(rng.uniform(0.01, 10, n), 2),
+        sup = SupplyStream(np.round(rng.uniform(0.01, 10, n), 2),
                           rng.uniform(1, 500, n))
         while sup.supply <= 2300:
             sup.on_supply(math.exp(rng.uniform(math.log(0.01), math.log(10))))
 
     def test_non_positive_increment_rejected(self):
-        sup = init_stream([1, 2], [3, 2])
+        sup = SupplyStream([1, 2], [3, 2])
         with pytest.raises(NonPositiveIncrement):
             sup.on_supply(0)
         with pytest.raises(NonPositiveIncrement):
             sup.on_supply(-1)
 
     def test_log_records_every_delta(self):
-        sup = init_stream([1, 2], [3, 2])
+        sup = SupplyStream([1, 2], [3, 2])
         deltas = [sup.on_supply(0.5), sup.on_supply(0.25)]
         assert [d.supply for d in deltas] == [0.5, 0.75]
         assert sup.supply == 0.75
@@ -87,7 +87,7 @@ class TestIncrements:
 class TestUtilities:
     def test_vcg_regime_utility(self):
         v1, v2, s = 1.0, 2.0, 0.7
-        sup = init_stream([v1, v2], [3, 2])
+        sup = SupplyStream([v1, v2], [3, 2])
         sup.on_supply(s)
         u = sup.utility_snapshot()
         assert abs(u[1] - s * (v2 - v1)) < 1e-12
@@ -96,7 +96,7 @@ class TestUtilities:
     @given(instances(n_min=2, n_max=4), st.lists(st.floats(0.05, 1.0),
                                                  min_size=1, max_size=6))
     def test_utilities_never_decrease(self, inst, increments):
-        sup = init_stream(inst.values, inst.budgets)
+        sup = SupplyStream(inst.values, inst.budgets)
         prev = sup.utility_snapshot()
         for ds in increments:
             sup.on_supply(ds)
@@ -114,7 +114,7 @@ class TestPathIndependence:
         cuts = sorted(rnd.uniform(0, total) for _ in range(parts - 1))
         chunks = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
         chunks = [c for c in chunks if c > 0]
-        sup = init_stream(inst.values, inst.budgets)
+        sup = SupplyStream(inst.values, inst.budgets)
         cum_x = np.zeros(inst.n)
         cum_p = np.zeros(inst.n)
         for c in chunks:
