@@ -102,7 +102,6 @@ class TestTrace:
         assert tr.events[0].price == 3.5
         assert abs(tr.events[1].price - 3.5 * math.exp(2 / 7)) < 1e-12 * 4.7
         assert tr.events[2].price == 5.7
-        assert tr.events[2].after.clinching == tr.events[2].after.active
         assert tr.events[3].price == 9.0
 
     def test_single_exit_when_entry_price_exceeds_low_value(self):
@@ -112,25 +111,7 @@ class TestTrace:
         assert ev.price == 1.0 and ev.players == (0,)  # the exiting player
         assert ev.delta_x == (0.0, 1.0)                # the survivor clinches
         assert ev.delta_pay == (0.0, 1.0)
-        assert ev.after.allocation == (0.0, 1.0)
-        assert ev.after.budgets == (3.0, 1.0)
-        assert ev.after.supply == 0.0
         assert 1 in ev.after.clinching
-
-    def test_snapshots_with_negative_budgets_are_accepted(self):
-        # a zero-budget clincher's segment drives budgets below zero; snapshots
-        # of such a trace are engine output and are not re-validated as user
-        # input
-        tr = trace(validate_instance(values=[3, 2, 1], budgets=[0, 1, 0], supply=2))
-        assert evolve(tr.events[0].after, tr.events[1].price).budgets == (-0.5, -0.5, 0.0)
-        ev = tr.events[1]
-        assert (ev.kind, ev.price, ev.players) == (EVENT_EXIT, 2.0, (1,))
-        # these after-state numbers pin the zero-budget defect of ROADMAP
-        # item 1: the b->0+ limit would leave no budget below zero
-        assert ev.after.allocation == (0.375, 1.375, 0.0)
-        assert ev.after.budgets == (-0.5, -0.5, 0.0)
-        assert ev.after.supply == 0.25
-        assert ev.after.clinching == ev.after.active == frozenset({0})
 
     def test_entry_exit_tie_is_absorbed_into_the_exit(self):
         # entry price (3+2-3)/2 = 1 equals the low value: no entry event
@@ -203,6 +184,26 @@ def test_snapshots_change_only_at_clinchers_and_players(name):
     assert pairs > 0
 
 
+class TestNextEventPrice:
+    # the engine has no separate next-event function: the price and kind of
+    # the next event are read off the trace
+
+    def test_showcase_first_entry(self):
+        ev = trace(SHOWCASE).events[0]
+        assert ev.price == 3.5 and ev.kind == EVENT_CLINCH_ENTRY
+
+    def test_exit_wins_when_entry_too_late(self):
+        tr = trace(validate_instance(values=[1, 2], budgets=[3, 2], supply=1))
+        assert (tr.events[0].price, tr.events[0].kind) == (1.0, EVENT_EXIT)
+
+    def test_everyone_clinching_means_next_exit(self):
+        tr = trace(SHOWCASE)
+        st = tr.events[2].after  # after the 5.7 exit: all actives clinch
+        assert st.clinching == st.active
+        ev = tr.events[3]
+        assert ev.kind == EVENT_EXIT and ev.price == 9.0
+
+
 class TestEvolve:
     def test_identity(self):
         st = trace(SHOWCASE).events[0].after
@@ -233,6 +234,40 @@ class TestEvolve:
         st = trace(SHOWCASE).events[0].after
         with pytest.raises(EventSkipped):
             evolve(st, 5.5)  # player 1 enters at ~4.657 inside
+
+
+class TestExitStep:
+    def test_direct_substitution(self):
+        # the exit at price 1 hands the whole supply to the survivor at price 1
+        tr = trace(validate_instance(values=[1, 2], budgets=[3, 2], supply=1))
+        after = tr.events[0].after
+        assert after.allocation == (0.0, 1.0)
+        assert after.budgets == (3.0, 1.0)
+        assert after.supply == 0.0
+        assert 1 in after.clinching
+
+    def test_snapshots_with_negative_budgets_are_accepted(self):
+        # a zero-budget clincher's segment drives budgets below zero; snapshots
+        # of such a trace are engine output and are not re-validated as user
+        # input
+        tr = trace(validate_instance(values=[3, 2, 1], budgets=[0, 1, 0], supply=2))
+        assert evolve(tr.events[0].after, tr.events[1].price).budgets == (-0.5, -0.5, 0.0)
+        ev = tr.events[1]
+        assert (ev.kind, ev.price, ev.players) == (EVENT_EXIT, 2.0, (1,))
+        # these after-state numbers pin the zero-budget defect of ROADMAP
+        # item 1: the b->0+ limit would leave no budget below zero
+        assert ev.after.allocation == (0.375, 1.375, 0.0)
+        assert ev.after.budgets == (-0.5, -0.5, 0.0)
+        assert ev.after.supply == 0.25
+        assert ev.after.clinching == ev.after.active == frozenset({0})
+
+    def test_tied_pair_removed_sequentially(self):
+        tied = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
+        out_tied = solve(tied)
+        # splitting the tie by a tiny gap (lower index exits first) approaches it
+        split = validate_instance(values=[2 - 1e-12, 2, 5], budgets=[1, 1, 3],
+                                  supply=1)
+        assert outcome_close(out_tied, solve(split), 1e-4)
 
 
 class TestStateAt:
@@ -316,14 +351,6 @@ class TestRepeatedValues:
         assert gaps_to_diffs[1e-3] > gaps_to_diffs[1e-6] > gaps_to_diffs[1e-9]
         assert gaps_to_diffs[1e-6] <= 1e-4
         assert gaps_to_diffs[1e-9] <= 1e-4
-
-    def test_tied_pair_removed_sequentially(self):
-        tied = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
-        out_tied = solve(tied)
-        # splitting the tie by a tiny gap (lower index exits first) approaches it
-        split = validate_instance(values=[2 - 1e-12, 2, 5], budgets=[1, 1, 3],
-                                  supply=1)
-        assert outcome_close(out_tied, solve(split), 1e-4)
 
 
 class TestProperties:
