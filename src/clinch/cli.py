@@ -17,12 +17,12 @@ from functools import partial
 from . import engine
 from .core import (
     AuctionError,
-    FloatMemo,
-    IdsText,
     LengthMismatch,
     Outcome,
     RowText,
     dumps,
+    float_entry,
+    id_entry,
     instance_from_json,
     json_number,
 )
@@ -93,17 +93,15 @@ def _cmd_trace(args) -> int:
     # Each line is printed as its event happens.  An entry can change only if
     # its player clinches after the event or is one of its players (see the
     # `engine` docstring), so the encoders look at those entries alone.
-    memo = FloatMemo()  # exited bidders keep B0 and most deltas are 0.0
-    encoders = [RowText(memo) for _ in range(4)] + [IdsText(inst.n) for _ in range(2)]
+    encoders = [RowText(inst.n, entry) for entry in [float_entry] * 4 + [id_entry] * 2]
 
     def emit(ev) -> None:
         changed = ev.after.clinching.union(ev.players)
-        print(dumps(_event_doc(ev, *[partial(enc, changed=changed) for enc in encoders]),
-                    memo))
+        print(dumps(_event_doc(ev, *[partial(enc, changed=changed) for enc in encoders])))
 
     _, outcome, notes = engine.run_trace(inst, emit)
     print(dumps({"kind": "final", "x": list(outcome.allocation),
-                 "pi": list(outcome.payments), "notes": list(notes)}, memo))
+                 "pi": list(outcome.payments), "notes": list(notes)}))
     return 0
 
 
@@ -219,14 +217,17 @@ def _cmd_check(args) -> int:
                              f"{args.property}, which reads {', '.join(sorted(reads))}")
         if not math.isfinite(val):
             raise ValueError(f"--corpus {key} must be finite, got {val}")
+        if key in _INT_KEYS and not val.is_integer():
+            raise ValueError(f"--corpus {key} must be a whole number, got {val}")
     opts = {key: int(val) if key in _INT_KEYS else val
             for key, val in {**defaults, **given}.items()}
-    if opts["count"] < 1:
-        raise ValueError(f"--corpus count must be at least 1, got {opts['count']}")
+    for key in ("count", "pairs", "candidates"):
+        if opts.get(key, 1) < 1:
+            raise ValueError(f"--corpus {key} must be at least 1, got {opts[key]}")
     slack = {}
     if args.tolerance is not None:
-        if not args.tolerance >= 0.0:
-            raise ValueError(f"--tolerance must be a non-negative number, got "
+        if not 0.0 <= args.tolerance < math.inf:
+            raise ValueError(f"--tolerance must be a finite non-negative number, got "
                              f"{args.tolerance}")
         if args.property == "pareto":
             raise ValueError("--tolerance does not apply to --property pareto: its "

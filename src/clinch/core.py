@@ -7,7 +7,6 @@ quantities is relative to max(1, |x|), by the one rule in `tol`.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -238,27 +237,8 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-_MEMO_CAP = 1 << 14
 _FLOATS = frozenset((float,))
 _INTS = frozenset((int,))
-_ONES = itertools.repeat(1.0)
-
-
-class FloatMemo(dict):
-    """float -> text cache shared by the `dumps` calls of one output stream.
-
-    A miss formats the value and stores it; the memo is emptied once it
-    holds `_MEMO_CAP` entries, so its memory stays bounded.  0.0 and -0.0
-    are one dict key, so `_encode` routes lists holding a signed zero past it.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, x: float) -> str:
-        if len(self) >= _MEMO_CAP:
-            self.clear()
-        text = self[x] = _fmt_float(x)
-        return text
 
 
 class RawJSON(str):
@@ -267,113 +247,69 @@ class RawJSON(str):
     __slots__ = ()
 
 
-ROW_BLOCK = 32  # positions per cached block of a row's or a set's text
+ROW_BLOCK = 32  # positions per cached block of a list's text
 
 
-class _BlockText:
-    """Text of a JSON list kept as the texts of its blocks of ROW_BLOCK
-    positions, so that a change at a few positions re-joins only their blocks.
-    A subclass's `block(b)` renders block b; an empty block is left out."""
+class RowText:
+    """Encoder of one JSON list over positions range(n) that changes in few
+    positions from line to line: a float row or a set of player ids.
 
-    __slots__ = ("blocks", "text")
+    `entry(row, i)` is the text of position i, or "" to leave it out.  The
+    first call renders every position; a later call renders again only the
+    positions in `changed`, where the row may differ from the last one, and
+    keeps a new text where it differs from the old.  Only the blocks of
+    ROW_BLOCK positions that hold such a text are joined again.  Comparing
+    text keeps -0.0, NaN and the infinities apart with no special case.
+    """
 
-    def __init__(self):
-        self.blocks: list[str] = []
+    __slots__ = ("n", "entry", "texts", "blocks", "text")
+
+    def __init__(self, n: int, entry):
+        self.n, self.entry = n, entry
+        self.texts: list[str] = []
+        self.blocks = [""] * -(-n // ROW_BLOCK)
         self.text = RawJSON("[]")
 
-    def rejoin(self, touched) -> RawJSON:
+    def __call__(self, row, changed) -> RawJSON:
+        texts, entry = self.texts, self.entry
+        if not texts:
+            texts += [entry(row, i) for i in range(self.n)]
+            touched = range(len(self.blocks))
+        else:
+            touched = set()
+            for i in changed:
+                text = entry(row, i)
+                if text != texts[i]:
+                    texts[i] = text
+                    touched.add(i // ROW_BLOCK)
+            if not touched:
+                return self.text
         blocks = self.blocks
         for b in touched:
-            blocks[b] = self.block(b)
+            blocks[b] = ", ".join(filter(None, texts[b * ROW_BLOCK:(b + 1) * ROW_BLOCK]))
         self.text = RawJSON("[" + ", ".join(filter(None, blocks)) + "]")
         return self.text
 
 
-class RowText(_BlockText):
-    """Encoder of one float row that changes in few entries from line to line.
-
-    It is called with the row and the positions where the row may differ
-    from the last row it encoded; the first row, or one of another length,
-    is encoded whole.  At those positions an entry that is not the same
-    object as before is formatted again, through the memo except exact
-    zeros, so that -0.0 stays distinct, and only the blocks holding such
-    entries are joined again.  The result equals `_encode(list(row), memo)`
-    for every all-float row whose entries outside `changed` are those of the
-    last row.  Rows must be immutable (tuples): the last row is held to
-    compare against.
-    """
-
-    __slots__ = ("memo", "row", "texts")
-
-    def __init__(self, memo: FloatMemo):
-        super().__init__()
-        self.memo = memo
-        self.row: tuple = ()
-        self.texts: list[str] = []
-
-    def __call__(self, row: tuple[float, ...], changed) -> RawJSON:
-        prev, memo = self.row, self.memo
-        if row is prev:
-            return self.text
-        self.row = row
-        if len(row) != len(prev):
-            self.texts = [memo[x] if x else _fmt_float(x) for x in row]
-            self.blocks = [""] * -(-len(row) // ROW_BLOCK)
-            return self.rejoin(range(len(self.blocks)))
-        texts, touched = self.texts, set()
-        for i in changed:
-            x = row[i]
-            if x is not prev[i]:
-                texts[i] = memo[x] if x else _fmt_float(x)
-                touched.add(i // ROW_BLOCK)
-        return self.rejoin(touched) if touched else self.text
-
-    def block(self, b: int) -> str:
-        return ", ".join(self.texts[b * ROW_BLOCK:(b + 1) * ROW_BLOCK])
+def float_entry(row, i: int) -> str:
+    """`RowText` renderer of a float row."""
+    return _fmt_float(row[i])
 
 
-class IdsText(_BlockText):
-    """Encoder of a set of player ids in range(n) as its sorted JSON list,
-    for sets that change in few members from line to line.
-
-    It is called with the set and the ids whose membership may have changed
-    since the last call; the first set is encoded whole.  Only the blocks of
-    ids that did change are joined again.  The result equals
-    `_encode(sorted(ids), memo)`.
-    """
-
-    __slots__ = ("n", "ids")
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-        self.ids: frozenset | None = None
-
-    def __call__(self, ids: frozenset[int], changed) -> RawJSON:
-        prev = self.ids
-        self.ids = ids
-        if prev is None:
-            self.blocks = [""] * -(-self.n // ROW_BLOCK)
-            return self.rejoin(range(len(self.blocks)))
-        touched = {i // ROW_BLOCK for i in changed if (i in ids) is not (i in prev)}
-        return self.rejoin(touched) if touched else self.text
-
-    def block(self, b: int) -> str:
-        ids = self.ids
-        return ", ".join([str(i) for i in range(b * ROW_BLOCK, (b + 1) * ROW_BLOCK) if i in ids])
+def id_entry(ids, i: int) -> str:
+    """`RowText` renderer of a set of ids: an id outside the set is left out."""
+    return str(i) if i in ids else ""
 
 
-def _encode(obj, memo: FloatMemo) -> str:
+def _encode(obj) -> str:
     if isinstance(obj, (list, tuple)):
-        # Exact types, so bool and numpy scalars take the per-value path; the
-        # memo serves a float list only if its zeros are all +0.0.
+        # Exact types, so bool and numpy scalars take the per-value path.
         kinds = set(map(type, obj))
-        if kinds == _FLOATS and (0.0 not in obj
-                                 or min(map(math.copysign, _ONES, obj)) > 0.0):
-            return "[" + ", ".join(map(memo.__getitem__, obj)) + "]"
+        if kinds == _FLOATS:
+            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
         if kinds == _INTS:
             return "[" + ", ".join(map(str, obj)) + "]"
-        return "[" + ", ".join(_encode(v, memo) for v in obj) + "]"
+        return "[" + ", ".join(map(_encode, obj)) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -385,19 +321,14 @@ def _encode(obj, memo: FloatMemo) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, dict):
-        items = (f"{_quote(str(k))}: {_encode(v, memo)}" for k, v in obj.items())
+        items = (f"{_quote(str(k))}: {_encode(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps(obj, memo: FloatMemo | None = None) -> str:
-    """Serialize nested dicts/lists/numbers with lossless float formatting.
-
-    Pass one `FloatMemo` to every call that writes the same stream: values
-    repeated across calls are then formatted once.  Output is the same with
-    or without it.
-    """
-    return _encode(obj, FloatMemo() if memo is None else memo)
+def dumps(obj) -> str:
+    """Serialize nested dicts/lists/numbers with lossless float formatting."""
+    return _encode(obj)
 
 
 def instance_to_json(inst: ValidatedInstance) -> str:

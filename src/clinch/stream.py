@@ -14,11 +14,13 @@ raised as a hard error rather than clamped.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import engine
 from .core import (
     MonotonicityViolation,
+    NonFinite,
     NonPositiveIncrement,
     Outcome,
     ValidatedInstance,
@@ -55,12 +57,15 @@ class SupplyStream:
         Deltas within tolerance of zero are clamped to exactly zero so
         consumers never see negative dust; a delta negative beyond
         tolerance raises MonotonicityViolation (an engine bug signal, not
-        a user error).
+        a user error).  An increment that would take the cumulative supply
+        past the largest double raises NonFinite and changes nothing.
         """
         ds = float(ds)
         if not ds > 0.0:
             raise NonPositiveIncrement(f"supply increment must be positive, got {ds}")
         new_supply = self.supply + ds
+        if not math.isfinite(new_supply):
+            raise NonFinite(f"cumulative supply overflows: {self.supply} + {ds}")
         inst = ValidatedInstance(self.inst.values, self.inst.budgets, new_supply,
                                  self.inst.value_order, self.inst.budget_order)
         new = engine.solve(inst)

@@ -10,6 +10,7 @@ incrementally-charged supply).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -206,8 +207,10 @@ def vcg_capacity_demo(values, caps, supply: float) -> Outcome:
     caps = [float(c) for c in caps]
     if len(caps) != len(values):
         raise ValueError(f"{len(values)} values vs {len(caps)} caps")
-    if any(c < 0 for c in caps) or any(v < 0 for v in values) or supply < 0:
-        raise ValueError("values, caps and supply must be non-negative")
+    if not all(0.0 <= c < math.inf for c in caps):
+        raise ValueError(f"caps must be finite and non-negative, got {caps}")
+    if any(v < 0 for v in values) or supply < 0:
+        raise ValueError("values and supply must be non-negative")
     n = len(values)
     everyone = range(n)
     x = _capped_greedy(values, caps, supply, everyone)

@@ -249,20 +249,42 @@ def _bumped(row, i, by):
 
 TIED = validate_instance(values=[2, 2, 5], budgets=[1, 1, 3], supply=1)
 
-# name -> (instance, event index, event fields, after-state fields), each
-# field given as a function of the untampered event or after-state.  The
-# SHOWCASE events are entries at 3.5 and 4.66 and exits at 5.7 and 9; the
-# TIED events are exits of players 0 and 1 at 2.
+# name -> (instance, event index, event fields, after-state fields, message),
+# each field given as a function of the untampered event or after-state, and
+# the message a fragment of the law that the tampering breaks.  The SHOWCASE
+# events are entries at 3.5 and 4.66 and exits at 5.7 and 9; the TIED events
+# are exits of players 0 and 1 at 2.
 TAMPERINGS = {
-    "supply": (SHOWCASE, 1, {}, {"supply": lambda st: st.supply + 0.1}),
-    "exited-first": (TIED, 0, {}, {"active": lambda st: st.active | {0}}),
-    "exited-final": (TIED, 1, {}, {"active": lambda st: st.active | {1}}),
-    "showcase-exit": (SHOWCASE, 2, {}, {"active": lambda st: st.active | {3}}),
-    "price-shift": (SHOWCASE, 0, {"price": lambda ev: 5.0}, {"price": lambda st: 5.0}),
-    "entry-price": (SHOWCASE, 0, {"price": lambda ev: 0.9 * ev.price}, {}),
-    "extra-pay": (SHOWCASE, 2, {"delta_pay": lambda ev: _bumped(ev.delta_pay, 0, 0.1)}, {}),
-    "no-clinchers": (SHOWCASE, 1, {}, {"clinching": lambda st: frozenset()}),
-    "raised-budget": (SHOWCASE, 1, {}, {"budgets": lambda st: _bumped(st.budgets, 2, 0.5)}),
+    "supply": (SHOWCASE, 1, {}, {"supply": lambda st: st.supply + 0.1},
+               "supply identity"),
+    "exited-first": (TIED, 0, {}, {"active": lambda st: st.active | {0}},
+                     "active set [0, 1, 2] != expected [1, 2]"),
+    "exited-final": (TIED, 1, {}, {"active": lambda st: st.active | {1}},
+                     "active set [1, 2] != expected [2]"),
+    "showcase-exit": (SHOWCASE, 2, {}, {"active": lambda st: st.active | {3}},
+                      "active set [0, 1, 2, 3] != expected [0, 1, 2]"),
+    "price-shift": (SHOWCASE, 0, {"price": lambda ev: 5.0}, {"price": lambda st: 5.0},
+                    "cannot evolve backwards"),
+    "entry-price": (SHOWCASE, 0, {"price": lambda ev: 0.9 * ev.price}, {},
+                    "state price 3.5 != event price 3.15"),
+    "extra-pay": (SHOWCASE, 2, {"delta_pay": lambda ev: _bumped(ev.delta_pay, 0, 0.1)}, {},
+                  "money paid"),
+    "no-clinchers": (SHOWCASE, 1, {}, {"clinching": lambda st: frozenset()},
+                     "player 0 left the clinching set early"),
+    "raised-budget": (SHOWCASE, 1, {}, {"budgets": lambda st: _bumped(st.budgets, 2, 0.5)},
+                      "budget of 2 increased"),
+    "active-bound": (SHOWCASE, 0, {}, {"active": lambda st: st.active - {0}},
+                     "active set [1, 2, 3] not between [0, 1, 2, 3]"),
+    "clinching-equality": (SHOWCASE, 1, {}, {"clinching": lambda st: st.clinching | {2}},
+                           "clinching set [0, 1, 2] != max-budget actives [0, 1]"),
+    # player 1, at its exit value, may stay out of the settled set, not join a
+    # set that player 2's larger budget owns
+    "clinching-subset": (TIED, 0, {}, {"clinching": lambda st: st.clinching | {1}},
+                         "clinching set [1, 2] not within max-budget actives [2]"),
+    "clinching-outside-active": (SHOWCASE, 2, {}, {"clinching": lambda st: st.clinching | {3}},
+                                 "clinching set not a subset of active set"),
+    "allocation-drop": (SHOWCASE, 2, {}, {"allocation": lambda st: _bumped(st.allocation, 0, -0.1)},
+                        "after exit@5.7: allocation of 0 decreased"),
 }
 
 
@@ -315,11 +337,44 @@ class TestTraceInvariants:
 
     @pytest.mark.parametrize("case", list(TAMPERINGS))
     def test_tampered_trace_is_flagged(self, case):
-        inst, k, event_fields, after_fields = TAMPERINGS[case]
+        inst, k, event_fields, after_fields, message = TAMPERINGS[case]
         tr = engine.trace(inst)
         ev = tr.events[k]
         after = replace(ev.after, **{f: make(ev.after) for f, make in after_fields.items()})
         warped = replace(ev, after=after, **{f: make(ev) for f, make in event_fields.items()})
         assert warped != ev
         broken = replace(tr, events=tr.events[:k] + (warped,) + tr.events[k + 1:])
-        assert verify_trace(broken) != []
+        bad = verify_trace(broken)
+        assert any(message in msg for msg in bad), bad
+
+    def test_short_final_allocation_is_flagged(self):
+        tr = engine.trace(SHOWCASE)
+        short = Outcome(_bumped(tr.outcome.allocation, 0, -0.25), tr.outcome.payments)
+        assert verify_trace(replace(tr, outcome=short)) == [
+            "final allocation sums to 0.75, supply is 1.0"]
+
+    def test_wrong_wishful_decrement_is_flagged(self, monkeypatch):
+        # a trace's snapshots cannot break this law alone: the left limits are
+        # evolved by the engine's closed form, which the law checks against
+        # the integral of B/price^2.  So the closed form over-credits here.
+        tr = engine.trace(SHOWCASE)
+        segment = engine._segment
+
+        def generous(p, p_new, S, k):
+            s_new, gain, db = segment(p, p_new, S, k)
+            return s_new, 1.5 * gain, db
+
+        monkeypatch.setattr(engine, "_segment", generous)
+        bad = verify_trace(tr)
+        assert any(msg.startswith("segment from p=3.5: wishful decrement of 0 is ")
+                   for msg in bad), bad
+
+    @pytest.mark.parametrize("values, supply", [([2.0], 1.0), ([1.0, 2.0], 0.0)])
+    def test_one_player_or_no_events_has_no_laws_to_break(self, values, supply):
+        inst = validate_instance(values=values, budgets=[1.0] * len(values),
+                                 supply=supply)
+        tr = engine.trace(inst)
+        assert len(values) == 1 or tr.events == ()
+        assert verify_trace(tr) == []
+        # so not even an outcome that sells nothing is reported
+        assert verify_trace(replace(tr, outcome=Outcome.zero(len(values)))) == []

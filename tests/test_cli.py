@@ -51,6 +51,24 @@ class TestSolve:
         _, second, _ = run(capsys, "solve", "--input", showcase_file)
         assert first == second
 
+    def test_table_format(self, capsys, showcase_file):
+        code, out, _ = run(capsys, "solve", "--input", showcase_file, "--format", "table")
+        assert code == 0
+        assert out == ("player  x                    pay\n"
+                       "0       0.53613605491910798  2.6550990223856634\n"
+                       "1       0.32593567884043129  2\n"
+                       "2       0.13792826624046073  0.99999999999999989\n"
+                       "3       0                    0\n")
+
+    def test_dash_reads_the_instance_from_stdin(self, capsys, showcase_file, monkeypatch):
+        _, from_file, _ = run(capsys, "solve", "--input", showcase_file)
+        monkeypatch.setattr("sys.stdin", io.StringIO(Path(showcase_file).read_text()))
+        code, out, _ = run(capsys, "solve", "--input", "-")
+        assert code == 0
+        assert out == from_file == (
+            '{"x": [0.53613605491910798, 0.32593567884043129, 0.13792826624046073, 0], '
+            '"pi": [2.6550990223856634, 2, 0.99999999999999989, 0]}\n')
+
     def test_output_round_trips_through_reader(self, capsys, showcase_file):
         _, out, _ = run(capsys, "solve", "--input", showcase_file)
         doc = json.loads(out)
@@ -217,6 +235,16 @@ class TestStream:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
+    def test_overflowing_cumulative_supply_is_usage_error(self, capsys, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "pair.json"
+        path.write_text('{"values": [1, 2], "budgets": [1, 1]}')
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"supply": 1e308}\n' * 2))
+        code, out, err = run(capsys, "stream", "--input", str(path))
+        assert code == 2
+        assert [json.loads(line)["s_cum"] for line in out.splitlines()] == [1e308]
+        assert err.startswith("error: cumulative supply overflows") and err.count("\n") == 1
+
 
 class TestN2:
     def test_golden_row(self, capsys):
@@ -227,6 +255,16 @@ class TestN2:
         assert doc["x"] == [0, 1]
         assert doc["pi"] == [0, 1]
         assert doc["regime"] == "v2_high_vcg"
+
+    def test_table_format_lists_regime_and_split_spend(self, capsys):
+        code, out, _ = run(capsys, "n2", "--v", "1", "2", "--b", "3", "2",
+                           "--s", "0.4", "--format", "table")
+        assert code == 0
+        assert out == ("player  x                    pay\n"
+                       "0       0                    0\n"
+                       "1       0.40000000000000002  0.40000000000000002\n"
+                       "regime: v2_high_vcg\n"
+                       "split_spend: 3.2974425414002564\n")
 
     def test_rates_flag(self, capsys):
         code, out, _ = run(capsys, "n2", "--v", "1", "2", "--b", "3", "2",
@@ -242,6 +280,16 @@ class TestVcg:
                            "--family", "multiunit")
         assert json.loads(out) == {"x": [0, 1], "pi": [0, 1]}
 
+    def test_table_format(self, capsys, pair_file):
+        code, out, _ = run(capsys, "vcg", "--input", pair_file, "--family", "multiunit",
+                           "--format", "table")
+        assert code == 0
+        assert out == "player  x  pay\n0       0  0\n1       1  1\n"
+
+    def test_table_or_family_is_required(self, capsys, pair_file):
+        code, out, err = run(capsys, "vcg", "--input", pair_file)
+        assert (code, out, err) == (2, "", "error: give either --table or --family\n")
+
     def test_family_capped_requires_caps(self, capsys, pair_file):
         code, _, err = run(capsys, "vcg", "--input", pair_file,
                            "--family", "capped")
@@ -253,6 +301,16 @@ class TestVcg:
         code, out, _ = run(capsys, "vcg", "--input", str(path),
                            "--family", "capped", "--caps", "1", "1")
         assert json.loads(out) == {"x": [1, 1], "pi": [0, 0]}
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-inf", "-1"])
+    def test_capped_demo_needs_finite_non_negative_caps(self, capsys, tmp_path, cap):
+        path = tmp_path / "one.json"
+        path.write_text(dumps({"values": [2], "budgets": [0], "supply": 1}))
+        # "--caps=" so that argparse reads "-inf" as a value, not an option
+        code, out, err = run(capsys, "vcg", "--input", str(path),
+                             "--family", "capped", f"--caps={cap}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: caps must be finite and non-negative")
 
     @pytest.mark.parametrize("values, table, message", [
         ([3, 2], {"0": 1, "1": 1, "0,1": 5}, "not submodular"),
@@ -290,6 +348,15 @@ class TestCheck:
         reports = json.loads(out)
         assert reports[0]["passed"] is True
         assert reports[0]["witness"] is None
+
+    def test_table_format(self, capsys):
+        code, out, _ = run(capsys, "check", "--property", "ir", "--corpus", "count=25",
+                           "--format", "table")
+        assert code == 0
+        assert out == (
+            "property                verdict  worst      corpus\n"
+            "individual-rationality  pass     0.000e+00  25 seeded instances, n in [2,8], "
+            "values (0,10.0], budgets (0.0,5.0], supply (0,20.0], seed 0\n")
 
     def test_forced_failure_exits_one(self, capsys):
         code, out, _ = run(capsys, "check", "--property", "oracle",
@@ -395,6 +462,23 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and f"--corpus {key} must be finite" in err
+
+    @pytest.mark.parametrize("prop, corpus, message", [
+        ("monotone", "pairs=0", "--corpus pairs must be at least 1"),
+        ("pareto", "candidates=0", "--corpus candidates must be at least 1"),
+        ("ir", "count=2.7", "--corpus count must be a whole number"),
+        ("ir", "nmin=2.9", "--corpus nmin must be a whole number")])
+    def test_vacuous_or_fractional_corpus_count_is_usage_error(self, capsys, prop,
+                                                               corpus, message):
+        code, out, err = run(capsys, "check", "--property", prop, "--corpus", corpus)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_infinite_tolerance_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "--property", "ir",
+                             "--corpus", "count=1", "--tolerance", "inf")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tolerance must be a finite") and err.count("\n") == 1
 
     @pytest.mark.parametrize("slack", ["1e300", "-5", "0"])
     def test_tolerance_is_usage_error_for_pareto(self, capsys, slack):

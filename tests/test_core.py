@@ -15,7 +15,6 @@ from clinch.checks import TRACE_REL, check_price_state, stratified_two_player
 from clinch.core import (
     AuctionError,
     EmptyInstance,
-    FloatMemo,
     LengthMismatch,
     NegativeEntry,
     NonFinite,
@@ -164,7 +163,7 @@ def _reference_encode(obj) -> str:
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
 _floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
-# all-float lists reach the memoised path; mixed zeros in one list must not
+# all-float lists reach the all-float path, with mixed zeros in one list
 _float_lists = st.one_of(st.lists(_floats), st.lists(_floats).map(tuple),
                          st.lists(st.sampled_from([0.0, -0.0, 1.5]), min_size=1))
 _leaves = st.one_of(_floats, st.integers(), st.booleans(), st.none(), st.text(),
@@ -177,7 +176,6 @@ _docs = st.recursive(
                            st.dictionaries(st.one_of(st.text(), st.integers()),
                                            kids, max_size=4)),
     max_leaves=12)
-_SHARED_MEMO = FloatMemo()  # outlives every example, as one output stream's would
 
 
 def _small_instances(n: int):
@@ -218,18 +216,15 @@ def _reference_trace_lines(inst) -> list[str]:
 
 class TestEncoder:
     @given(st.lists(_docs, min_size=1, max_size=6))
-    def test_matches_reference_with_a_reused_memo(self, docs):
+    def test_matches_reference_on_a_run_of_documents(self, docs):
         for doc in docs:
-            want = _reference_encode(doc)
-            assert dumps(doc, _SHARED_MEMO) == want
-            assert dumps(doc) == want
+            assert dumps(doc) == _reference_encode(doc)
 
     def test_signed_zeros_and_specials_in_one_list(self):
-        memo = FloatMemo()
         for doc in ([0.0, -0.0], [-0.0, 0.0, 1.0], (0.0, 2.0), [-0.0],
                     [math.nan, math.inf, -math.inf, 0.0], [-1.5, 0.0], [-1.5, 2.0]):
-            assert dumps(doc, memo) == _reference_encode(doc)
-        assert dumps([0.0, -0.0], memo) == "[0, -0]"
+            assert dumps(doc) == _reference_encode(doc)
+        assert dumps([0.0, -0.0]) == "[0, -0]"
 
     def test_bools_and_numpy_scalars_keep_their_rendering(self):
         assert dumps([True, False]) == "[true, false]"
@@ -238,19 +233,10 @@ class TestEncoder:
         with pytest.raises(TypeError):
             dumps([np.int64(3)])
 
-    def test_memo_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(core, "_MEMO_CAP", 8)
-        memo = FloatMemo()
-        xs = [i / 7 for i in range(1, 50)]
-        assert dumps(xs, memo) == _reference_encode(xs)
-        assert len(memo) <= 8
-        assert dumps(xs[::-1], memo) == _reference_encode(xs[::-1])
-
     @given(st.integers(1, 3 * core.ROW_BLOCK), st.data())
     def test_row_and_id_set_encoders_match_reference(self, n, data):
-        memo = FloatMemo()
-        memo[0.0]  # as a line of only +0.0 zeros leaves it; -0.0 must not use it
-        row_text, ids_text = core.RowText(memo), core.IdsText(n)
+        row_text = core.RowText(n, core.float_entry)
+        ids_text = core.RowText(n, core.id_entry)
         row = tuple(data.draw(st.lists(_floats, min_size=n, max_size=n)))
         ids = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
         changed = ()  # the first row and set are encoded whole

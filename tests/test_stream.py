@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from clinch.core import EmptyInstance, NonPositiveIncrement, validate_instance
+from clinch.core import EmptyInstance, NonFinite, NonPositiveIncrement, validate_instance
 from clinch.engine import solve
 from clinch.stream import SupplyStream
 from clinch.checks import myerson_gap
@@ -76,6 +76,14 @@ class TestIncrements:
             sup.on_supply(0)
         with pytest.raises(NonPositiveIncrement):
             sup.on_supply(-1)
+
+    def test_overflowing_cumulative_supply_rejected_before_solving(self):
+        sup = SupplyStream([1, 2], [1, 1])
+        sup.on_supply(1e308)
+        outcome = sup.outcome
+        with pytest.raises(NonFinite, match="cumulative supply overflows"):
+            sup.on_supply(1e308)
+        assert (sup.supply, sup.outcome) == (1e308, outcome)
 
     def test_log_records_every_delta(self):
         sup = SupplyStream([1, 2], [3, 2])
