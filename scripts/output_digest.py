@@ -1,11 +1,10 @@
 """SHA-1 digests of the `clinch` command's output over a fixed manifest.
 
-    PYTHONPATH=src python scripts/output_digest.py [NAME-PREFIX ...]
+    PYTHONPATH=src python scripts/output_digest.py
 
 Runs `cli.main` in process on each case and prints one line per case,
 `<sha1>  <case>`, where the digest covers the exit status and stdout, then
-`<sha1>  overall` over the case lines.  With arguments, only the cases whose
-names start with one of them are run.  The manifest is:
+`<sha1>  overall` over the case lines.  The manifest is:
 
 - `solve` on the nine seed-1 `large-solve` inputs and `trace`, in json and
   table format, on the two seed-1 `large-trace` inputs;
@@ -17,7 +16,10 @@ The benchmark inputs come from `perfbench/inputs.py`.  Only `cli.main` is
 called, so two checkouts can be compared by running each one's copy:
 a change that keeps every output byte prints the same lines.
 `tests/output_digests.txt` holds this script's output for the whole
-manifest, and a Tier-1 test recomputes its fast cases.
+manifest, made with numpy 2.4.6: the `check` cases draw their corpora from
+numpy's `default_rng`, whose streams numpy does not promise to keep across
+versions.  A Tier-1 test recomputes the numpy-free `solve`, `trace` and
+`stream` cases.
 """
 from __future__ import annotations
 
@@ -91,5 +93,5 @@ def digests(prefixes=()) -> list[str]:
 
 
 if __name__ == "__main__":
-    for line in digests(sys.argv[1:]):
+    for line in digests():
         print(line, flush=True)

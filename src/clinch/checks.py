@@ -580,6 +580,9 @@ def verify_trace(tr: EventTrace) -> list[str]:
     """Violation messages for every structural law along one trace, each
     within the slack `TRACE_REL` * max(1, |x|).
 
+    When every value is positive, the final allocation must sum to the
+    supply.  A trace with one player or no events has no further law.
+
     One pass over the events: the state after the previous event (or the
     initial state) is evolved once to the event's price.  The segment up to
     that left limit is checked at five interior prices and against two
@@ -595,6 +598,10 @@ def verify_trace(tr: EventTrace) -> list[str]:
     """
     bad: list[str] = []
     inst = validate_instance(values=tr.values, budgets=tr.budgets, supply=tr.supply)
+    if all(v > 0.0 for v in tr.values):  # full allocation
+        total = sum(tr.outcome.allocation)
+        if abs(total - tr.supply) > TRACE_REL * max(1.0, tr.supply):
+            bad.append(f"final allocation sums to {total}, supply is {tr.supply}")
     if inst.n == 1 or not tr.events:
         return bad
     values = tr.values
@@ -678,12 +685,6 @@ def verify_trace(tr: EventTrace) -> list[str]:
             bad.append(f"after {at}: active set {sorted(after.active)} != expected "
                        f"{sorted(want)}")
         prev = after
-
-    # full allocation
-    if all(v > 0.0 for v in values) and inst.n >= 2:
-        total = sum(tr.outcome.allocation)
-        if abs(total - tr.supply) > TRACE_REL * max(1.0, tr.supply):
-            bad.append(f"final allocation sums to {total}, supply is {tr.supply}")
     return bad
 
 

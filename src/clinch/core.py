@@ -327,7 +327,11 @@ def _encode(obj) -> str:
 
 
 def dumps(obj) -> str:
-    """Serialize nested dicts/lists/numbers with lossless float formatting."""
+    """Serialize nested dicts/lists/numbers with lossless float formatting.
+
+    The recursion stays in `_encode`, so a wrapper put on `dumps` (the layer
+    spans of `perfbench/layers.py`) sees one call per document.
+    """
     return _encode(obj)
 
 

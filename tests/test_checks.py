@@ -369,12 +369,15 @@ class TestTraceInvariants:
         assert any(msg.startswith("segment from p=3.5: wishful decrement of 0 is ")
                    for msg in bad), bad
 
-    @pytest.mark.parametrize("values, supply", [([2.0], 1.0), ([1.0, 2.0], 0.0)])
-    def test_one_player_or_no_events_has_no_laws_to_break(self, values, supply):
+    @pytest.mark.parametrize("values, supply, unsold", [
+        ([2.0], 1.0, ["final allocation sums to 0.0, supply is 1.0"]),
+        ([1.0, 2.0], 0.0, []),
+    ])
+    def test_one_player_or_no_events_still_sells_the_supply(self, values, supply,
+                                                             unsold):
         inst = validate_instance(values=values, budgets=[1.0] * len(values),
                                  supply=supply)
         tr = engine.trace(inst)
         assert len(values) == 1 or tr.events == ()
         assert verify_trace(tr) == []
-        # so not even an outcome that sells nothing is reported
-        assert verify_trace(replace(tr, outcome=Outcome.zero(len(values)))) == []
+        assert verify_trace(replace(tr, outcome=Outcome.zero(len(values)))) == unsold

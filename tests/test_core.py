@@ -226,6 +226,14 @@ class TestEncoder:
             assert dumps(doc) == _reference_encode(doc)
         assert dumps([0.0, -0.0]) == "[0, -0]"
 
+    def test_a_wrapper_on_dumps_sees_one_call_per_document(self, monkeypatch):
+        # perfbench/layers.py counts calls and bytes by wrapping core.dumps
+        calls = []
+        monkeypatch.setattr(core, "dumps", lambda obj: calls.append(obj) or dumps(obj))
+        doc = {"a": [1.0, {"b": [2, None]}], "c": "x"}
+        assert core.dumps(doc) == _reference_encode(doc)
+        assert calls == [doc]
+
     def test_bools_and_numpy_scalars_keep_their_rendering(self):
         assert dumps([True, False]) == "[true, false]"
         assert dumps([1, True]) == "[1, true]"
