@@ -15,17 +15,7 @@ import sys
 from functools import partial
 
 from . import engine
-from .core import (
-    AuctionError,
-    LengthMismatch,
-    Outcome,
-    RowText,
-    dumps,
-    float_entry,
-    id_entry,
-    instance_from_json,
-    json_number,
-)
+from .core import AuctionError, LengthMismatch, Outcome, dumps, instance_from_json, json_number
 
 
 def _read_input(path: str) -> str:
@@ -48,8 +38,8 @@ def _emit_outcome(out: Outcome, args, extra: dict | None = None) -> None:
         rows = [(i, format(out.allocation[i], ".17g"), format(out.payments[i], ".17g"))
                 for i in range(out.n)]
         print(_table(rows, ("player", "x", "pay")))
-        for key, val in (extra or {}).items():
-            print(f"{key}: {val}")
+        for key, val in (extra or {}).items():  # numbers with 17 digits, as in JSON
+            print(f"{key}: {val if isinstance(val, str) else dumps(val)}")
         return
     doc = {"x": list(out.allocation), "pi": list(out.payments)}
     doc.update(extra or {})
@@ -88,8 +78,10 @@ def _cmd_trace(args) -> int:
             ev.kind, format(ev.price, ".12g"), ",".join(map(str, ev.players)),
             format(sum(ev.delta_x), ".12g"), format(ev.after.supply, ".12g"))))
         print(_table(rows, ("event", "price", "players", "units", "S_after")))
-        print(f"outcome x={list(outcome.allocation)} pi={list(outcome.payments)}")
+        print(f"outcome x={dumps(list(outcome.allocation))} pi={dumps(list(outcome.payments))}")
         return 0
+
+    from .rowtext import RowText, float_entry, id_entry  # only a json trace needs it
     # Each line is printed as its event happens.  An entry can change only if
     # its player clinches after the event or is one of its players (see the
     # `engine` docstring), so the encoders look at those entries alone.

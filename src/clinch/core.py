@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Sequence
 
 REL_TOL = 1e-9
 SUPPLY_FLOOR = 1e-12  # remnant supply at or below this counts as sold out
 
 
-def tol(x: float, *xs: float) -> float:
-    """The tolerance rule: REL_TOL * max(1, |x|, |xs|...)."""
-    return REL_TOL * max(1.0, abs(x), *map(abs, xs))
+def tol(x: float, y: float = 0.0, z: float = 0.0) -> float:
+    """The tolerance rule: REL_TOL * max(1, |x|, |y|, |z|)."""
+    return REL_TOL * max(1.0, abs(x), abs(y), abs(z))
 
 
 def close(a: float, b: float) -> bool:
@@ -83,8 +83,62 @@ class OracleViolation(AuctionError):
     """A capacity oracle broke monotonicity during evaluation."""
 
 
-@dataclass(frozen=True)
-class ValidatedInstance:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass maps each field to its type in `__slots__` and gives field
+    defaults as class keywords: `class EventTrace(Record, notes=())`.  A
+    record is built positionally or by keyword, compares `==` and hashes by
+    its fields (only against a record of the same class), has a `repr`
+    that names every field and refuses attribute assignment.  `replace`
+    copies one with some fields changed.  Its `__init__` is generated, as a
+    dataclass's is, but stores through the slot descriptors directly and
+    needs no `dataclasses` import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **defaults):
+        super().__init_subclass__()
+        fields = tuple(cls.__slots__)
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        scope.update((f"_default_{f}", v) for f, v in defaults.items())
+        params = ", ".join(f"{f}=_default_{f}" if f in defaults else f for f in fields)
+        body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+        exec(f"def __init__(self, {params}):{body}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._fields = fields
+        cls._values = attrgetter(*fields)  # the field values, as one tuple
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values(self)
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of `record` with the fields named in `changes` set to them."""
+    return type(record)(**dict(zip(record._fields, record._values(record)), **changes))
+
+
+class ValidatedInstance(Record):
     """An instance that passed validation, plus derived ordering metadata.
 
     `value_order` lists player ids by ascending (value, index), the order in
@@ -92,11 +146,13 @@ class ValidatedInstance:
     ascending index, the order in which they join the clinching set.
     """
 
-    values: tuple[float, ...]
-    budgets: tuple[float, ...]
-    supply: float
-    value_order: tuple[int, ...]
-    budget_order: tuple[int, ...]
+    __slots__ = {
+        "values": "tuple[float, ...]",
+        "budgets": "tuple[float, ...]",
+        "supply": "float",
+        "value_order": "tuple[int, ...]",
+        "budget_order": "tuple[int, ...]",
+    }
 
     @property
     def n(self) -> int:
@@ -144,12 +200,10 @@ def validate_instance(
                              tuple(sorted(ids, key=buds.__getitem__, reverse=True)))
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """Final allocation (units per player) and payments (money per player)."""
 
-    allocation: tuple[float, ...]
-    payments: tuple[float, ...]
+    __slots__ = {"allocation": "tuple[float, ...]", "payments": "tuple[float, ...]"}
 
     @staticmethod
     def zero(n: int) -> "Outcome":
@@ -160,8 +214,7 @@ class Outcome:
         return len(self.allocation)
 
 
-@dataclass(frozen=True)
-class PriceState:
+class PriceState(Record):
     """Snapshot of the ascending process at one price.
 
     Carries the (constant) value vector so that a state is self-contained:
@@ -169,13 +222,15 @@ class PriceState:
     re-derived and cross-checked from the snapshot alone.
     """
 
-    price: float
-    allocation: tuple[float, ...]
-    budgets: tuple[float, ...]
-    supply: float
-    active: frozenset[int]
-    clinching: frozenset[int]
-    values: tuple[float, ...]
+    __slots__ = {
+        "price": "float",
+        "allocation": "tuple[float, ...]",
+        "budgets": "tuple[float, ...]",
+        "supply": "float",
+        "active": "frozenset[int]",
+        "clinching": "frozenset[int]",
+        "values": "tuple[float, ...]",
+    }
 
     @property
     def n(self) -> int:
@@ -190,8 +245,7 @@ EVENT_CLINCH_ENTRY = "clinch_entry"
 EVENT_EXIT = "exit"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """One event of the ascending process and the state right after it.
 
     Exits at a repeated value are recorded as one event per removed player,
@@ -201,25 +255,28 @@ class Event:
     `engine.evolve`.
     """
 
-    kind: str
-    price: float
-    players: tuple[int, ...]
-    delta_x: tuple[float, ...]
-    delta_pay: tuple[float, ...]
-    after: PriceState
+    __slots__ = {
+        "kind": "str",
+        "price": "float",
+        "players": "tuple[int, ...]",
+        "delta_x": "tuple[float, ...]",
+        "delta_pay": "tuple[float, ...]",
+        "after": "PriceState",
+    }
 
 
-@dataclass(frozen=True)
-class EventTrace:
+class EventTrace(Record, notes=()):
     """Ordered events of one auction run plus the final state and outcome."""
 
-    values: tuple[float, ...]
-    budgets: tuple[float, ...]
-    supply: float
-    events: tuple[Event, ...]
-    final: PriceState
-    outcome: Outcome
-    notes: tuple[str, ...] = ()
+    __slots__ = {
+        "values": "tuple[float, ...]",
+        "budgets": "tuple[float, ...]",
+        "supply": "float",
+        "events": "tuple[Event, ...]",
+        "final": "PriceState",
+        "outcome": "Outcome",
+        "notes": "tuple[str, ...]",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +286,9 @@ class EventTrace:
 INSTANCE_SCHEMA = '{"values": [...], "budgets": [...], "supply": number}'
 
 
-def _fmt_float(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """One number of the JSON output: 17 significant digits, or NaN and the
+    infinities as `json` writes them."""
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
@@ -247,66 +306,12 @@ class RawJSON(str):
     __slots__ = ()
 
 
-ROW_BLOCK = 32  # positions per cached block of a list's text
-
-
-class RowText:
-    """Encoder of one JSON list over positions range(n) that changes in few
-    positions from line to line: a float row or a set of player ids.
-
-    `entry(row, i)` is the text of position i, or "" to leave it out.  The
-    first call renders every position; a later call renders again only the
-    positions in `changed`, where the row may differ from the last one, and
-    keeps a new text where it differs from the old.  Only the blocks of
-    ROW_BLOCK positions that hold such a text are joined again.  Comparing
-    text keeps -0.0, NaN and the infinities apart with no special case.
-    """
-
-    __slots__ = ("n", "entry", "texts", "blocks", "text")
-
-    def __init__(self, n: int, entry):
-        self.n, self.entry = n, entry
-        self.texts: list[str] = []
-        self.blocks = [""] * -(-n // ROW_BLOCK)
-        self.text = RawJSON("[]")
-
-    def __call__(self, row, changed) -> RawJSON:
-        texts, entry = self.texts, self.entry
-        if not texts:
-            texts += [entry(row, i) for i in range(self.n)]
-            touched = range(len(self.blocks))
-        else:
-            touched = set()
-            for i in changed:
-                text = entry(row, i)
-                if text != texts[i]:
-                    texts[i] = text
-                    touched.add(i // ROW_BLOCK)
-            if not touched:
-                return self.text
-        blocks = self.blocks
-        for b in touched:
-            blocks[b] = ", ".join(filter(None, texts[b * ROW_BLOCK:(b + 1) * ROW_BLOCK]))
-        self.text = RawJSON("[" + ", ".join(filter(None, blocks)) + "]")
-        return self.text
-
-
-def float_entry(row, i: int) -> str:
-    """`RowText` renderer of a float row."""
-    return _fmt_float(row[i])
-
-
-def id_entry(ids, i: int) -> str:
-    """`RowText` renderer of a set of ids: an id outside the set is left out."""
-    return str(i) if i in ids else ""
-
-
 def _encode(obj) -> str:
     if isinstance(obj, (list, tuple)):
         # Exact types, so bool and numpy scalars take the per-value path.
         kinds = set(map(type, obj))
         if kinds == _FLOATS:
-            return "[" + ", ".join(map(_fmt_float, obj)) + "]"
+            return "[" + ", ".join(map(fmt_float, obj)) + "]"
         if kinds == _INTS:
             return "[" + ", ".join(map(str, obj)) + "]"
         return "[" + ", ".join(map(_encode, obj)) + "]"
@@ -315,7 +320,7 @@ def _encode(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return fmt_float(obj)
     if isinstance(obj, str):
         return obj if type(obj) is RawJSON else _quote(obj)
     if obj is None:

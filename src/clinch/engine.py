@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import replace
 from itertools import repeat
 from operator import attrgetter, sub
 
@@ -50,6 +49,7 @@ from .core import (
     ValidatedInstance,
     ZeroPrice,
     close,
+    replace,
     tol,
     validate_instance,
 )

@@ -15,7 +15,7 @@ raised as a hard error rather than clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import mul, sub
 
 from . import engine
 from .core import (
@@ -23,19 +23,18 @@ from .core import (
     NonFinite,
     NonPositiveIncrement,
     Outcome,
+    Record,
     ValidatedInstance,
     tol,
     validate_instance,
 )
 
 
-@dataclass(frozen=True)
-class DeltaOutcome:
+class DeltaOutcome(Record):
     """Per-increment deltas plus the cumulative supply they bring about."""
 
-    delta_x: tuple[float, ...]
-    delta_pay: tuple[float, ...]
-    supply: float
+    __slots__ = {"delta_x": "tuple[float, ...]", "delta_pay": "tuple[float, ...]",
+                 "supply": "float"}
 
 
 class SupplyStream:
@@ -50,6 +49,7 @@ class SupplyStream:
         self.inst = validate_instance(values=values, budgets=budgets, supply=0.0)
         self.supply = 0.0
         self.outcome = Outcome.zero(self.inst.n)
+        self._utility = self._utilities(self.outcome)
 
     def on_supply(self, ds: float) -> DeltaOutcome:
         """Account for ds more units: re-solve and emit non-negative deltas.
@@ -58,7 +58,7 @@ class SupplyStream:
         consumers never see negative dust; a delta negative beyond
         tolerance raises MonotonicityViolation (an engine bug signal, not
         a user error).  An increment that would take the cumulative supply
-        past the largest double raises NonFinite and changes nothing.
+        past the largest double raises NonFinite; no error changes the stream.
         """
         ds = float(ds)
         if not ds > 0.0:
@@ -69,16 +69,14 @@ class SupplyStream:
         inst = ValidatedInstance(self.inst.values, self.inst.budgets, new_supply,
                                  self.inst.value_order, self.inst.budget_order)
         new = engine.solve(inst)
-        old_u = self.utility_snapshot()
         dx = self._delta(self.outcome.allocation, new.allocation)
         dp = self._delta(self.outcome.payments, new.payments)
-        self.supply = new_supply
-        self.outcome = new
-        new_u = self.utility_snapshot()
-        for i, (a, b) in enumerate(zip(old_u, new_u)):
+        utility = self._utilities(new)
+        for i, (a, b) in enumerate(zip(self._utility, utility)):
             if b < a - tol(a, b):
                 raise MonotonicityViolation(
                     f"utility of player {i} fell from {a} to {b} as supply grew")
+        self.supply, self.outcome, self._utility = new_supply, new, utility
         return DeltaOutcome(dx, dp, new_supply)
 
     def _delta(self, old: tuple, new: tuple) -> tuple[float, ...]:
@@ -91,7 +89,12 @@ class SupplyStream:
             out.append(d if abs(d) > eps else 0.0)
         return tuple(out)
 
+    def _utilities(self, out: Outcome) -> tuple[float, ...]:
+        return tuple(map(sub, map(mul, self.inst.values, out.allocation), out.payments))
+
     def utility_snapshot(self) -> tuple[float, ...]:
-        """Current utilities v_i * x_i - pay_i; non-decreasing across increments."""
-        return tuple(self.inst.values[i] * self.outcome.allocation[i]
-                     - self.outcome.payments[i] for i in range(self.inst.n))
+        """Current utilities v_i * x_i - pay_i; non-decreasing across increments.
+
+        The row is computed once per increment, when `on_supply` checks it.
+        """
+        return self._utility

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 
 import reference_pareto
 from clinch import engine
-from clinch.core import Outcome, PriceState, validate_instance
+from clinch.core import Outcome, PriceState, replace, validate_instance
 from clinch.checks import (
     CorpusSpec,
     PropertyReport,

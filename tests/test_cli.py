@@ -133,6 +133,31 @@ class TestImports:
         ], showcase_file)
         assert proc.returncode == 0, proc.stderr
 
+    def test_solve_trace_and_stream_never_load_dataclasses(self, showcase_file):
+        proc = _run_script([
+            "import io, sys",
+            "import clinch.cli",
+            "assert 'dataclasses' not in sys.modules, 'import clinch.cli loaded dataclasses'",
+            "sys.stdin = io.StringIO('{\"supply\": 1}\\n')",
+            "for argv in (['solve'], ['trace'], ['trace', '--format', 'table'], ['stream']):",
+            "    assert clinch.cli.main([*argv, '--input', sys.argv[1]]) == 0",
+            "    assert 'dataclasses' not in sys.modules, f'clinch {argv} loaded dataclasses'",
+        ], showcase_file)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_only_a_json_trace_loads_the_trace_encoder(self, showcase_file):
+        proc = _run_script([
+            "import io, sys",
+            "import clinch.cli",
+            "sys.stdin = io.StringIO('{\"supply\": 1}\\n')",
+            "for argv in (['solve'], ['stream'], ['trace', '--format', 'table']):",
+            "    assert clinch.cli.main([*argv, '--input', sys.argv[1]]) == 0",
+            "    assert 'clinch.rowtext' not in sys.modules, f'clinch {argv} loaded it'",
+            "assert clinch.cli.main(['trace', '--input', sys.argv[1]]) == 0",
+            "assert 'clinch.rowtext' in sys.modules",
+        ], showcase_file)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestTrace:
     def test_json_lines_schema(self, capsys, showcase_file):
@@ -153,6 +178,19 @@ class TestTrace:
                            "--format", "table")
         assert code == 0
         assert "clinch_entry" in out and "outcome" in out
+
+    def test_table_golden_output(self, capsys, showcase_file):
+        # the outcome line prints 17 significant digits, as the JSON output does
+        code, out, _ = run(capsys, "trace", "--input", showcase_file, "--format", "table")
+        assert code == 0
+        assert out == (
+            "event         price          players  units            S_after\n"
+            "clinch_entry  3.5            0        0                1\n"
+            "clinch_entry  4.65749269107  1        0                0.751477293075\n"
+            "exit          5.7            3        0.200023871384   0.301706643197\n"
+            "exit          9              0        0.0766446616921  1.23358113847e-17\n"
+            "outcome x=[0.53613605491910798, 0.32593567884043129, 0.13792826624046073, 0] "
+            "pi=[2.6550990223856634, 2, 0.99999999999999989, 0]\n")
 
     def test_failed_run_prints_its_events_and_no_final_line(self, capsys, tmp_path):
         # property_corpus(3, 300)[177] with money x1e-8, where the absolute
@@ -265,6 +303,18 @@ class TestN2:
                        "1       0.40000000000000002  0.40000000000000002\n"
                        "regime: v2_high_vcg\n"
                        "split_spend: 3.2974425414002564\n")
+
+    def test_table_format_prints_rates_with_17_digits(self, capsys):
+        code, out, _ = run(capsys, "n2", "--v", "5", "4", "--b", "1", "2",
+                           "--s", "1.3", "--rates", "--format", "table")
+        assert code == 0
+        assert out == ("player  x                    pay\n"
+                       "0       0.30446494994554918  1\n"
+                       "1       0.99553505005445087  1.4772534945271067\n"
+                       "regime: v2_high_split\n"
+                       "split_spend: 2.7182818284590451\n"
+                       "dx_ds: [0.13367563352101991, 0.86632436647898015]\n"
+                       "dpi_ds: [0, 0.40211269651761017]\n")
 
     def test_rates_flag(self, capsys):
         code, out, _ = run(capsys, "n2", "--v", "1", "2", "--b", "3", "2",

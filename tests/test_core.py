@@ -1,16 +1,17 @@
 import contextlib
+import copy
 import io
 import json
 import math
+import pickle
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from clinch import cli, core, engine, two_player
+from clinch import cli, core, engine, rowtext, two_player
 from clinch.checks import TRACE_REL, check_price_state, stratified_two_player
 from clinch.core import (
     AuctionError,
@@ -22,6 +23,7 @@ from clinch.core import (
     dumps,
     instance_from_json,
     instance_to_json,
+    replace,
     tol,
     validate_instance,
 )
@@ -241,10 +243,10 @@ class TestEncoder:
         with pytest.raises(TypeError):
             dumps([np.int64(3)])
 
-    @given(st.integers(1, 3 * core.ROW_BLOCK), st.data())
+    @given(st.integers(1, 3 * rowtext.ROW_BLOCK), st.data())
     def test_row_and_id_set_encoders_match_reference(self, n, data):
-        row_text = core.RowText(n, core.float_entry)
-        ids_text = core.RowText(n, core.id_entry)
+        row_text = rowtext.RowText(n, rowtext.float_entry)
+        ids_text = rowtext.RowText(n, rowtext.id_entry)
         row = tuple(data.draw(st.lists(_floats, min_size=n, max_size=n)))
         ids = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
         changed = ()  # the first row and set are encoded whole
@@ -284,8 +286,8 @@ class TestEncoder:
         assert code == (0 if want and json.loads(want[-1])["kind"] == "final" else 2)
 
     @settings(max_examples=60)
-    @given(st.one_of(st.sampled_from([core.ROW_BLOCK - 1, core.ROW_BLOCK, core.ROW_BLOCK + 1,
-                                      2 * core.ROW_BLOCK + 1]),
+    @given(st.one_of(st.sampled_from([rowtext.ROW_BLOCK - 1, rowtext.ROW_BLOCK, rowtext.ROW_BLOCK + 1,
+                                      2 * rowtext.ROW_BLOCK + 1]),
                      st.integers(1, 100)).flatmap(_small_instances))
     def test_trace_lines_match_reference_encoding_across_blocks(
             self, tmp_path_factory, doc):
@@ -305,6 +307,83 @@ class TestEncoder:
         assert code == 0 and len(lines) > 2
         assert all('"B": [' in line and ", -0, " in line for line in lines[:-1])
         assert lines == _reference_trace_lines(inst)
+
+
+class _Pair(core.Record):
+    __slots__ = {"a": "int", "b": "int"}
+
+
+class _OtherPair(core.Record, b=0):
+    __slots__ = {"a": "int", "b": "int"}
+
+
+class TestRecords:
+    def test_positional_keyword_and_default_construction(self):
+        assert _Pair(1, 2) == _Pair(b=2, a=1) == _Pair(1, b=2)
+        assert _OtherPair(1).b == 0
+        tr = engine.trace(validate_instance(values=[2, 1], budgets=[1, 1], supply=1))
+        assert core.EventTrace(tr.values, tr.budgets, tr.supply, tr.events, tr.final,
+                               tr.outcome).notes == ()
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'b'"):
+            _Pair(1)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'c'"):
+            _Pair(1, 2, c=3)
+
+    def test_equality_is_by_fields_within_one_class(self):
+        assert _Pair(1, 2) == _Pair(1, 2)
+        assert not _Pair(1, 2) != _Pair(1, 2)
+        assert _Pair(1, 2) != _Pair(1, 3)
+        # equal fields, different record class: never equal
+        assert _Pair(1, 2) != _OtherPair(1, 2)
+        assert not _Pair(1, 2) == _OtherPair(1, 2)
+        assert _Pair(1, 2) != (1, 2)
+        assert core.Outcome((1.0,), (0.5,)) != core.Outcome((1.0,), (0.25,))
+
+    def test_hash_follows_equality(self):
+        assert hash(_Pair(1, (2, 3))) == hash(_Pair(1, (2, 3)))
+        assert len({_Pair(1, 2), _Pair(1, 2), _Pair(2, 1), _OtherPair(1, 2)}) == 3
+        st0 = initial_state(validate_instance(values=[2, 1], budgets=[1, 1], supply=1))
+        assert {st0: 1}[replace(st0)] == 1
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        out = core.Outcome((1.0,), (0.5,))
+        with pytest.raises(AttributeError, match="cannot assign to field 'payments'"):
+            out.payments = (0.0,)
+        with pytest.raises(AttributeError, match="cannot delete field 'payments'"):
+            del out.payments
+        with pytest.raises(AttributeError):
+            out.extra = 1  # no __dict__ to take new attributes either
+        assert out == core.Outcome((1.0,), (0.5,))
+
+    def test_repr_names_every_field(self):
+        out = core.Outcome((1.0, 0.0), (0.5, 0.0))
+        assert repr(out) == "Outcome(allocation=(1.0, 0.0), payments=(0.5, 0.0))"
+        assert eval(repr(out), {"Outcome": core.Outcome}) == out
+        assert repr(_OtherPair(1)) == "_OtherPair(a=1, b=0)"
+
+    def test_replace_copies_with_the_named_fields_changed(self):
+        st0 = initial_state(validate_instance(values=[2, 1], budgets=[1, 1], supply=1))
+        moved = replace(st0, price=0.5, supply=0.25)
+        assert (moved.price, moved.supply) == (0.5, 0.25)
+        assert moved.allocation is st0.allocation and moved.active is st0.active
+        assert (st0.price, st0.supply) == (0.0, 1.0)
+        assert replace(st0) == st0 and type(replace(st0)) is core.PriceState
+        with pytest.raises(TypeError, match="unexpected keyword argument 'prices'"):
+            replace(st0, prices=1.0)
+
+    def test_copy_and_pickle_round_trip(self):
+        inst = validate_instance(values=[2, 1], budgets=[1, 1], supply=1)
+        assert copy.copy(inst) == inst
+        assert copy.deepcopy(inst) == inst
+        assert pickle.loads(pickle.dumps(inst)) == inst
+
+    def test_n_max_budget_and_zero_stay(self):
+        inst = validate_instance(values=[2, 1, 3], budgets=[1, 4, 2], supply=1)
+        st0 = initial_state(inst)
+        assert inst.n == st0.n == 3
+        assert st0.max_budget() == 4
+        assert core.Outcome.zero(2) == core.Outcome((0.0, 0.0), (0.0, 0.0))
+        assert core.Outcome.zero(2).n == 2
 
 
 class TestPriceState:

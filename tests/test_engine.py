@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from clinch.core import (
     EVENT_EXIT,
     EventSkipped,
     ZeroPrice,
+    replace,
 )
 from clinch.engine import (
     evolve,

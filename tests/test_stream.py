@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from clinch.core import EmptyInstance, NonFinite, NonPositiveIncrement, validate_instance
+from clinch import engine
+from clinch.core import (
+    EmptyInstance,
+    MonotonicityViolation,
+    NonFinite,
+    NonPositiveIncrement,
+    Outcome,
+    validate_instance,
+)
 from clinch.engine import solve
 from clinch.stream import SupplyStream
 from clinch.checks import myerson_gap
@@ -100,6 +108,26 @@ class TestUtilities:
         u = sup.utility_snapshot()
         assert abs(u[1] - s * (v2 - v1)) < 1e-12
         assert u[0] == 0.0
+
+    def test_kept_row_is_the_utilities_of_the_outcome(self):
+        sup = SupplyStream([1.0, 2.0, 3.5], [3, 2, 0.7])
+        for ds in (0.3, 0.9, 2.0):
+            sup.on_supply(ds)
+            out = sup.outcome
+            assert sup.utility_snapshot() == tuple(
+                v * x - p for v, x, p in zip(sup.inst.values, out.allocation, out.payments))
+
+    def test_a_utility_fall_raises_and_keeps_the_stream(self, monkeypatch):
+        sup = SupplyStream([1, 2], [3, 2])
+        sup.on_supply(0.5)
+        before = (sup.supply, sup.outcome, sup.utility_snapshot())
+        # the same units at a higher price: no delta is negative, but player
+        # 1's utility falls from 0.5 to 0
+        dearer = Outcome(sup.outcome.allocation, (0.0, sup.outcome.payments[1] + 0.5))
+        monkeypatch.setattr(engine, "solve", lambda inst: dearer)
+        with pytest.raises(MonotonicityViolation, match="utility of player 1"):
+            sup.on_supply(0.5)
+        assert (sup.supply, sup.outcome, sup.utility_snapshot()) == before
 
     @given(instances(n_min=2, n_max=4), st.lists(st.floats(0.05, 1.0),
                                                  min_size=1, max_size=6))
