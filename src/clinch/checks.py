@@ -9,7 +9,6 @@ disagreement between them on engine outcomes as a build-stopping bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .core import (
     NonFinite,
     Outcome,
     PriceState,
+    Record,
     ValidatedInstance,
     tol,
     validate_instance,
@@ -38,22 +38,16 @@ CONVERGENCE_SHRINK = 1.5  # the Euler mean error's required ratio from h to h/2
 QUAD_TOL = 1e-6  # the error bound of `myerson_gap`'s adaptive Simpson rule
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Outcome of one property check over one instance or corpus."""
+class PropertyReport(Record, witness=None, details=()):
+    """Outcome of one property check over one instance or corpus: it fails
+    exactly when it carries a witness."""
 
-    name: str
-    corpus: str
-    passed: bool
-    worst_violation: float
-    witness: dict | None = None
-    details: tuple[str, ...] = ()
+    __slots__ = {"name": "str", "corpus": "str", "worst_violation": "float",
+                 "witness": "dict | None", "details": "tuple[str, ...]"}
 
-    def __post_init__(self):
-        if self.passed and self.witness is not None:
-            raise ValueError("a passing report cannot carry a witness")
-        if not self.passed and self.witness is None:
-            raise ValueError("a failing report must carry a witness")
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_dict(self) -> dict:
         return {"property": self.name, "corpus": self.corpus, "passed": self.passed,
@@ -71,28 +65,20 @@ def _witness(inst: ValidatedInstance, **extra) -> dict:
 def merge_reports(name: str, corpus: str, reports: list[PropertyReport]) -> PropertyReport:
     """Deterministic merge: worst violation wins, first witness kept."""
     worst = max((r.worst_violation for r in reports), default=0.0)
-    failed = [r for r in reports if not r.passed]
+    witness = next((r.witness for r in reports if not r.passed), None)
     details = tuple(d for r in reports for d in r.details)
-    if failed:
-        return PropertyReport(name, corpus, False, worst, failed[0].witness, details)
-    return PropertyReport(name, corpus, True, worst, None, details)
+    return PropertyReport(name, corpus, worst, witness, details)
 
 
 # ---------------------------------------------------------------------------
 # Corpora
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(Record, count=100, n_min=2, n_max=8, v_max=10.0, b_min=0.0, b_max=5.0,
+                 s_max=20.0, seed=0):
     """Seeded random-instance generator parameters."""
 
-    count: int = 100
-    n_min: int = 2
-    n_max: int = 8
-    v_max: float = 10.0
-    b_min: float = 0.0
-    b_max: float = 5.0
-    s_max: float = 20.0
-    seed: int = 0
+    __slots__ = {"count": "int", "n_min": "int", "n_max": "int", "v_max": "float",
+                 "b_min": "float", "b_max": "float", "s_max": "float", "seed": "int"}
 
     def describe(self) -> str:
         return (f"{self.count} seeded instances, n in [{self.n_min},{self.n_max}], "
@@ -176,10 +162,15 @@ def misreport_grid(inst: ValidatedInstance, player: int, points: int) -> list[fl
     """Candidate misreports: an even grid over [0, 2 max v] plus every
     opponent value nudged one tolerance-width to either side (the only
     discontinuity candidates).  The even grid needs both of its ends, so
-    `points` must be at least 2."""
+    `points` must be at least 2.  Grid point k is computed as
+    top * k / (points - 1), so the product top * (points - 1) must be
+    finite: then so is every point, nudged values included."""
     if points < 2:
         raise ValueError(f"misreport grid needs points >= 2, got {points}")
     top = 2.0 * max(inst.values)
+    if not math.isfinite(top * (points - 1)):
+        raise NonFinite(f"misreport grid overflows: 2 * max(values) * (points - 1) is "
+                        f"not finite for max(values) = {max(inst.values)!r}, points = {points}")
     grid = [top * k / (points - 1) for k in range(points)]
     for j, v in enumerate(inst.values):
         if j == player:
@@ -190,11 +181,9 @@ def misreport_grid(inst: ValidatedInstance, player: int, points: int) -> list[fl
 
 
 def _misreported(inst: ValidatedInstance, i: int, report: float) -> ValidatedInstance:
-    """`inst` with player i's value replaced by `report`: only the new value
-    needs checking (grid points are non-negative) and only the value order
+    """`inst` with player i's value replaced by `report`, a point of
+    `misreport_grid` and so finite and non-negative: only the value order
     changes, sorted stably as `validate_instance` sorts it."""
-    if not report < math.inf:  # the grid over [0, 2 max v] overflowed
-        raise NonFinite(f"values contains a non-finite entry: {report!r}")
     vals = list(inst.values)
     vals[i] = report
     vals = tuple(vals)
@@ -218,8 +207,7 @@ def check_ic(inst: ValidatedInstance, solver=engine.solve, points: int = 50,
                 worst = gain
                 if gain > slack:
                     witness = _witness(inst, player=i, misreport=report, gain=gain)
-    return PropertyReport("incentive-compatibility", "single instance",
-                          witness is None, worst, witness)
+    return PropertyReport("incentive-compatibility", "single instance", worst, witness)
 
 
 def check_ir(inst: ValidatedInstance, outcome: Outcome, slack: float = 1e-9
@@ -234,8 +222,7 @@ def check_ir(inst: ValidatedInstance, outcome: Outcome, slack: float = 1e-9
             worst = bad
             if bad > slack * max(1.0, abs(u)):
                 witness = _witness(inst, player=i, utility=u)
-    return PropertyReport("individual-rationality", "single instance",
-                          witness is None, worst, witness)
+    return PropertyReport("individual-rationality", "single instance", worst, witness)
 
 
 def check_budget(inst: ValidatedInstance, outcome: Outcome, slack: float = 1e-9
@@ -249,8 +236,7 @@ def check_budget(inst: ValidatedInstance, outcome: Outcome, slack: float = 1e-9
             worst = over
             if over > slack * max(1.0, inst.budgets[i]):
                 witness = _witness(inst, player=i, payment=outcome.payments[i])
-    return PropertyReport("budget-feasibility", "single instance",
-                          witness is None, worst, witness)
+    return PropertyReport("budget-feasibility", "single instance", worst, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +377,7 @@ def check_pareto(inst: ValidatedInstance, outcome: Outcome,
     witness = None
     if failed:
         witness = _witness(inst, characterization=char_msg, improvement=search_hit)
-    return PropertyReport("pareto-optimality", "single instance", not failed,
-                          worst, witness, details)
+    return PropertyReport("pareto-optimality", "single instance", worst, witness, details)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +423,7 @@ def check_supply_monotonicity(values, budgets, supply_pairs,
                         witness = _witness(lo, player=i, quantity="wishful allocation",
                                            price=p, pair=[s_lo, s_hi])
     return PropertyReport("supply-monotonicity", "single value/budget profile",
-                          witness is None, worst, witness)
+                          worst, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +465,7 @@ def check_oracle_agreement(instances, h: float, slack: float | None = None
         witness = {"convergence_ratio": ratio, "required": CONVERGENCE_SHRINK}
         worst = max(worst, CONVERGENCE_SHRINK - ratio)
     return PropertyReport("integration-oracle-agreement",
-                          f"{len(errs_h)} instances at h={h:g}",
-                          witness is None, worst, witness, details)
+                          f"{len(errs_h)} instances at h={h:g}", worst, witness, details)
 
 
 # ---------------------------------------------------------------------------

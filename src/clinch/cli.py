@@ -12,10 +12,10 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
 
 from . import engine
-from .core import AuctionError, LengthMismatch, Outcome, dumps, instance_from_json, json_number
+from .core import (AuctionError, LengthMismatch, Outcome, dumps, fmt_float, instance_from_json,
+                   json_number)
 
 
 def _read_input(path: str) -> str:
@@ -46,24 +46,6 @@ def _emit_outcome(out: Outcome, args, extra: dict | None = None) -> None:
     print(dumps(doc))
 
 
-def _event_doc(ev, dx=list, dpi=list, x=list, B=list, A=sorted, C=sorted) -> dict:
-    """One `trace` line; each float row and id set goes through its own encoder."""
-    return {
-        "kind": ev.kind,
-        "price": ev.price,
-        "players": list(ev.players),
-        "delta_x": dx(ev.delta_x),
-        "delta_pi": dpi(ev.delta_pay),
-        "state_after": {
-            "x": x(ev.after.allocation),
-            "B": B(ev.after.budgets),
-            "S": ev.after.supply,
-            "A": A(ev.after.active),
-            "C": C(ev.after.clinching),
-        },
-    }
-
-
 def _cmd_solve(args) -> int:
     inst = instance_from_json(_read_input(args.input))
     _emit_outcome(engine.solve(inst), args)
@@ -82,14 +64,22 @@ def _cmd_trace(args) -> int:
         return 0
 
     from .rowtext import RowText, float_entry, id_entry  # only a json trace needs it
-    # Each line is printed as its event happens.  An entry can change only if
-    # its player clinches after the event or is one of its players (see the
-    # `engine` docstring), so the encoders look at those entries alone.
-    encoders = [RowText(inst.n, entry) for entry in [float_entry] * 4 + [id_entry] * 2]
+    # Each line is printed as its event happens, in one fixed layout.  An
+    # entry can change only if its player clinches after the event or is one
+    # of its players (see the `engine` docstring), so the list encoders look
+    # at those entries alone.  Event kinds are plain identifiers: no escaping.
+    dx, dpi, x, B, A, C = (RowText(inst.n, entry)
+                           for entry in [float_entry] * 4 + [id_entry] * 2)
 
     def emit(ev) -> None:
-        changed = ev.after.clinching.union(ev.players)
-        print(dumps(_event_doc(ev, *[partial(enc, changed=changed) for enc in encoders])))
+        st = ev.after
+        changed = st.clinching.union(ev.players)
+        print(f'{{"kind": "{ev.kind}", "price": {fmt_float(ev.price)}, '
+              f'"players": [{", ".join(map(str, ev.players))}], '
+              f'"delta_x": {dx(ev.delta_x, changed)}, "delta_pi": {dpi(ev.delta_pay, changed)}, '
+              f'"state_after": {{"x": {x(st.allocation, changed)}, "B": {B(st.budgets, changed)}, '
+              f'"S": {fmt_float(st.supply)}, "A": {A(st.active, changed)}, '
+              f'"C": {C(st.clinching, changed)}}}}}')
 
     _, outcome, notes = engine.run_trace(inst, emit)
     print(dumps({"kind": "final", "x": list(outcome.allocation),

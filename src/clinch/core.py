@@ -300,12 +300,6 @@ _FLOATS = frozenset((float,))
 _INTS = frozenset((int,))
 
 
-class RawJSON(str):
-    """Text that is already JSON; `_encode` writes it verbatim."""
-
-    __slots__ = ()
-
-
 def _encode(obj) -> str:
     if isinstance(obj, (list, tuple)):
         # Exact types, so bool and numpy scalars take the per-value path.
@@ -322,7 +316,7 @@ def _encode(obj) -> str:
     if isinstance(obj, float):
         return fmt_float(obj)
     if isinstance(obj, str):
-        return obj if type(obj) is RawJSON else _quote(obj)
+        return _quote(obj)
     if obj is None:
         return "null"
     if isinstance(obj, dict):

@@ -8,7 +8,7 @@ imports this module, so `solve` and `stream` do not compile it.
 """
 from __future__ import annotations
 
-from .core import RawJSON, fmt_float
+from .core import fmt_float
 
 ROW_BLOCK = 32  # positions per cached block of a list's text
 
@@ -31,9 +31,9 @@ class RowText:
         self.n, self.entry = n, entry
         self.texts: list[str] = []
         self.blocks = [""] * -(-n // ROW_BLOCK)
-        self.text = RawJSON("[]")
+        self.text = "[]"
 
-    def __call__(self, row, changed) -> RawJSON:
+    def __call__(self, row, changed) -> str:
         texts, entry = self.texts, self.entry
         if not texts:
             texts += [entry(row, i) for i in range(self.n)]
@@ -50,7 +50,7 @@ class RowText:
         blocks = self.blocks
         for b in touched:
             blocks[b] = ", ".join(filter(None, texts[b * ROW_BLOCK:(b + 1) * ROW_BLOCK]))
-        self.text = RawJSON("[" + ", ".join(filter(None, blocks)) + "]")
+        self.text = "[" + ", ".join(filter(None, blocks)) + "]"
         return self.text
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from . import engine
-from .core import OnRegimeBoundary, Outcome, tol, validate_instance
+from .core import OnRegimeBoundary, Outcome, Record, tol, validate_instance
 
 
 class Regime(str, enum.Enum):
@@ -32,12 +31,10 @@ class Regime(str, enum.Enum):
     DEGENERATE = "degenerate"              # zero poorer budget or zero value
 
 
-@dataclass(frozen=True)
-class RegimeLabel:
+class RegimeLabel(Record):
     """Regime identifier plus the spend knee where splitting would begin."""
 
-    regime: Regime
-    split_spend: float
+    __slots__ = {"regime": "Regime", "split_spend": "float"}
 
 
 def _log_knee(b1: float, b2: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,7 +23,6 @@ CHECK_TRIALS = 200  # `SubmodularOracle.check`'s random triples above 12 players
 EMPTY_TOL = 1e-12  # the largest capacity the empty set may report
 
 
-@dataclass
 class SubmodularOracle:
     """Capacity oracle f: subset of players -> feasible units.
 
@@ -34,13 +32,12 @@ class SubmodularOracle:
     exhaustive check is exponential in n).
     """
 
-    n: int
-    fn: Callable[[frozenset], float]
-    _memo: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("n", "fn", "_memo")
 
-    def __post_init__(self):
-        if abs(self.fn(frozenset())) > EMPTY_TOL:
+    def __init__(self, n: int, fn: Callable[[frozenset], float]):
+        if abs(fn(frozenset())) > EMPTY_TOL:
             raise OracleViolation("capacity of the empty set must be 0")
+        self.n, self.fn, self._memo = n, fn, {}
 
     def value(self, subset: frozenset) -> float:
         got = self._memo.get(subset)

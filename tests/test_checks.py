@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 import reference_pareto
-from clinch import engine
-from clinch.core import Outcome, PriceState, replace, validate_instance
+from clinch import checks, engine
+from clinch.core import NonFinite, Outcome, PriceState, replace, validate_instance
 from clinch.checks import (
     CorpusSpec,
     PropertyReport,
@@ -36,15 +36,22 @@ SHOWCASE = validate_instance(values=[9, 10, 11, 5.7], budgets=[3, 2, 1, 0.5],
 
 class TestReportShape:
     def test_witness_present_iff_failed(self):
-        with pytest.raises(ValueError):
-            PropertyReport("x", "c", True, 0.0, witness={"a": 1})
-        with pytest.raises(ValueError):
-            PropertyReport("x", "c", False, 1.0, witness=None)
+        assert PropertyReport("x", "c", 0.0).passed
+        assert PropertyReport("x", "c", 0.0, witness=None).passed
+        assert not PropertyReport("x", "c", 1.0, witness={"a": 1}).passed
+        assert not PropertyReport("x", "c", 1.0, {}).passed  # an empty witness still fails
+        # `passed` follows the witness and cannot be given
+        with pytest.raises(TypeError):
+            PropertyReport("x", "c", 0.0, passed=True)
+        doc = PropertyReport("x", "c", 1.0, {"a": 1}).to_dict()
+        assert list(doc.items()) == [
+            ("property", "x"), ("corpus", "c"), ("passed", False), ("worst_violation", 1.0),
+            ("witness", {"a": 1}), ("details", [])]
 
     def test_merge_keeps_first_witness_and_worst_violation(self):
-        r1 = PropertyReport("p", "one", True, 0.25)
-        r2 = PropertyReport("p", "one", False, 1.0, {"tag": "w2"})
-        r3 = PropertyReport("p", "one", False, 2.0, {"tag": "w3"})
+        r1 = PropertyReport("p", "one", 0.25)
+        r2 = PropertyReport("p", "one", 1.0, {"tag": "w2"})
+        r3 = PropertyReport("p", "one", 2.0, {"tag": "w3"})
         merged = merge_reports("p", "corpus", [r1, r2, r3])
         assert not merged.passed
         assert merged.worst_violation == 2.0
@@ -100,6 +107,18 @@ class TestIncentives:
                 values[i] = report
                 assert _misreported(inst, i, report) == validate_instance(
                     values=values, budgets=inst.budgets, supply=inst.supply)
+
+    @pytest.mark.parametrize("top", [1e308, 1e307])
+    def test_overflowing_grid_is_reported_as_such(self, top):
+        # 2 * 1e308 overflows; 2 * 1e307 does not, but 2e307 * k does for k >= 9
+        inst = validate_instance(values=[top, 1.0], budgets=[1, 1], supply=1)
+        with pytest.raises(NonFinite, match="misreport grid overflows"):
+            check_ic(inst)
+
+    def test_a_grid_that_fits_is_finite(self):
+        inst = validate_instance(values=[1e306, 1.0], budgets=[1, 1], supply=1)
+        for i in range(inst.n):
+            assert all(math.isfinite(r) for r in misreport_grid(inst, i, points=50))
 
     def test_truthful_engine_passes(self):
         rep = check_ic(SHOWCASE)
@@ -240,6 +259,20 @@ class TestOracleAgreement:
         insts = random_instances(oracle_corpus(seed=23, count=5))
         rep = check_oracle_agreement(insts, h=1e-3, slack=1e-18)
         assert not rep.passed
+
+    def test_an_error_that_does_not_shrink_fails_convergence(self, monkeypatch):
+        # the same small error at h and at h/2: agreement holds, but the
+        # mean error shrinks by a ratio of exactly 1, not the required 1.5
+        def off_by_a_constant(inst, h):
+            out = engine.solve(inst)
+            return Outcome(tuple(x + 1e-4 for x in out.allocation), out.payments)
+
+        monkeypatch.setattr(checks.oracle, "solve_euler", off_by_a_constant)
+        rep = check_oracle_agreement(random_instances(oracle_corpus(seed=23, count=5)),
+                                     h=1e-3)
+        assert not rep.passed
+        assert rep.witness == {"convergence_ratio": 1.0, "required": 1.5}
+        assert rep.worst_violation == 0.5
 
 
 def _bumped(row, i, by):

@@ -133,14 +133,18 @@ class TestImports:
         ], showcase_file)
         assert proc.returncode == 0, proc.stderr
 
-    def test_solve_trace_and_stream_never_load_dataclasses(self, showcase_file):
+    def test_no_command_loads_dataclasses(self, showcase_file):
         proc = _run_script([
             "import io, sys",
             "import clinch.cli",
             "assert 'dataclasses' not in sys.modules, 'import clinch.cli loaded dataclasses'",
             "sys.stdin = io.StringIO('{\"supply\": 1}\\n')",
-            "for argv in (['solve'], ['trace'], ['trace', '--format', 'table'], ['stream']):",
-            "    assert clinch.cli.main([*argv, '--input', sys.argv[1]]) == 0",
+            "inp = ['--input', sys.argv[1]]",
+            "for argv in (['solve', *inp], ['trace', *inp], ['trace', '--format', 'table', *inp],",
+            "             ['stream', *inp], ['check', '--property', 'ir', '--corpus', 'count=1'],",
+            "             ['n2', '--v', '1', '2', '--b', '3', '2', '--s', '1'],",
+            "             ['vcg', '--family', 'multiunit', *inp]):",
+            "    assert clinch.cli.main(argv) == 0",
             "    assert 'dataclasses' not in sys.modules, f'clinch {argv} loaded dataclasses'",
         ], showcase_file)
         assert proc.returncode == 0, proc.stderr
@@ -336,6 +340,11 @@ class TestVcg:
         assert code == 0
         assert out == "player  x  pay\n0       0  0\n1       1  1\n"
 
+    def test_one_cap_for_two_players_is_usage_error(self, capsys, pair_file):
+        code, out, err = run(capsys, "vcg", "--input", pair_file,
+                             "--family", "capped", "--caps", "1")
+        assert (code, out, err) == (2, "", "error: 2 values vs 1 caps\n")
+
     def test_table_or_family_is_required(self, capsys, pair_file):
         code, out, err = run(capsys, "vcg", "--input", pair_file)
         assert (code, out, err) == (2, "", "error: give either --table or --family\n")
@@ -368,7 +377,8 @@ class TestVcg:
         ([3, 2, 1], {"0": 1, "1": 1, "0,1": 1, "0,2": 1, "1,2": 1, "0,1,2": 1},
          "no entry for subset [2]"),
         ([3, 2], [1], "--table must be an object"),
-        ([3, 2], {"0": None, "1": 1, "0,1": 1}, "must be a number, got null")])
+        ([3, 2], {"0": None, "1": 1, "0,1": 1}, "must be a number, got null"),
+        ([3, 2], {"0": 1, "1": 1, "0,5": 2}, "table key '0,5' names a player out of range")])
     def test_table_is_checked(self, capsys, tmp_path, values, table, message):
         inst = tmp_path / "inst.json"
         inst.write_text(dumps({"values": values, "budgets": [0] * len(values),
@@ -378,7 +388,7 @@ class TestVcg:
         code, out, err = run(capsys, "vcg", "--input", str(inst), "--table", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
 
     def test_explicit_table(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
@@ -471,6 +481,14 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "points" in err
+
+    @pytest.mark.parametrize("vmax", ["1e308", "1e307"])
+    def test_overflowing_misreport_grid_is_usage_error(self, capsys, vmax):
+        # every value is finite, but the grid over [0, 2 max v] is not
+        code, out, err = run(capsys, "check", "--property", "ic",
+                             "--corpus", f"count=1,vmax={vmax}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: misreport grid overflows") and err.count("\n") == 1
 
     @pytest.mark.parametrize("prop, key", [
         ("ir", "cuont"), ("budget", "h"), ("ic", "pairs"), ("pareto", "points"),

@@ -213,7 +213,20 @@ def _reference_trace_lines(inst) -> list[str]:
     else:
         final = [_reference_encode({"kind": "final", "x": list(outcome.allocation),
                                     "pi": list(outcome.payments), "notes": list(notes)})]
-    return [_reference_encode(cli._event_doc(ev)) for ev in events] + final
+    return [_reference_encode({
+        "kind": ev.kind,
+        "price": ev.price,
+        "players": list(ev.players),
+        "delta_x": list(ev.delta_x),
+        "delta_pi": list(ev.delta_pay),
+        "state_after": {
+            "x": list(ev.after.allocation),
+            "B": list(ev.after.budgets),
+            "S": ev.after.supply,
+            "A": sorted(ev.after.active),
+            "C": sorted(ev.after.clinching),
+        },
+    }) for ev in events] + final
 
 
 class TestEncoder:

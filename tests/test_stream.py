@@ -129,6 +129,19 @@ class TestUtilities:
             sup.on_supply(0.5)
         assert (sup.supply, sup.outcome, sup.utility_snapshot()) == before
 
+    def test_a_component_fall_raises_and_keeps_the_stream(self, monkeypatch):
+        sup = SupplyStream([1, 2], [3, 2])
+        sup.on_supply(0.5)
+        before = (sup.supply, sup.outcome, sup.utility_snapshot())
+        x = sup.outcome.allocation
+        assert x[1] > 0.1
+        # the next increment takes 0.1 units back from player 1
+        shrunk = Outcome((x[0], x[1] - 0.1), sup.outcome.payments)
+        monkeypatch.setattr(engine, "solve", lambda inst: shrunk)
+        with pytest.raises(MonotonicityViolation, match="component 1 fell from"):
+            sup.on_supply(0.5)
+        assert (sup.supply, sup.outcome, sup.utility_snapshot()) == before
+
     @given(instances(n_min=2, n_max=4), st.lists(st.floats(0.05, 1.0),
                                                  min_size=1, max_size=6))
     def test_utilities_never_decrease(self, inst, increments):

@@ -163,3 +163,14 @@ class TestMarginalRates:
             marginal_rates_n2(1.0, 2.0, 3.0, 1.5, 1.5)  # spend == poorer budget
         with pytest.raises(OnRegimeBoundary):
             marginal_rates_n2(1, 2, 3, 0, 1)  # degenerate
+
+    def test_split_boundary_raises_and_just_past_it_splits(self):
+        # b1 = 2, b2 = 1 put the split knee at b2 * exp(b1/b2 - 1) = e
+        with pytest.raises(OnRegimeBoundary, match="split boundary"):
+            marginal_rates_n2(1, 1, 2, 1, math.e)
+        s = math.e * (1 + 1e-6)
+        dx, dpay, label = marginal_rates_n2(1, 1, 2, 1, s)
+        assert label.regime is Regime.V2_HIGH_SPLIT and label.split_spend == pytest.approx(math.e)
+        dx2 = 1 / (2 * math.e) - math.e / (2 * s * s)
+        assert dx == pytest.approx((1 - dx2, dx2), rel=1e-12)
+        assert dpay == pytest.approx((math.e / (s * s), 0.0), rel=1e-12)
