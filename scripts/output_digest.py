@@ -16,10 +16,13 @@ The benchmark inputs come from `perfbench/inputs.py`.  Only `cli.main` is
 called, so two checkouts can be compared by running each one's copy:
 a change that keeps every output byte prints the same lines.
 `tests/output_digests.txt` holds this script's output for the whole
-manifest, made with numpy 2.4.6: the `check` cases draw their corpora from
-numpy's `default_rng`, whose streams numpy does not promise to keep across
-versions.  A Tier-1 test recomputes the numpy-free `solve`, `trace` and
-`stream` cases.
+manifest, made with numpy 2.4.6.  Only the `pareto` and `oracle` digests
+depend on numpy's streams, which numpy does not promise to keep across
+versions: the Pareto search draws normals from `default_rng`, and the
+Euler oracle runs on numpy arrays.  Every other `check` draws its corpus
+from `clinch.pcg64`, the standard library's copy of `default_rng`.  A
+Tier-1 test recomputes the numpy-free cases: `solve`, `trace`, `stream`
+and `check` for `ic`, `ir`, `budget` and `monotone`.
 """
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/startup_curve.py [--reps N]
 
-Times five cases, each a fresh interpreter started with
+Times seven cases, each a fresh interpreter started with
 PYTHONDONTWRITEBYTECODE=1, as the benchmark runs them:
 
 - `pass`: a bare interpreter;
@@ -11,7 +11,11 @@ PYTHONDONTWRITEBYTECODE=1, as the benchmark runs them:
 - `solve-1024`: `clinch solve` on the first n=1024 instance of the seed-1
   `large-solve` draw;
 - `stream-one`: `clinch stream` on the first seed-1 `stream-online` bidder
-  set, fed its first increment.
+  set, fed its first increment;
+- `check-ic-one`: `clinch check --property ic` on one two-bidder instance,
+  the argv of the `property-check` workload's start-up operation, which
+  loads no numpy;
+- `check-pareto-one`: the same for `--property pareto`, which loads numpy.
 
 The inputs are read through `perfbench/inputs.py` and not edited.  The
 commands run as the console script runs them (`sys.exit(main())`), with
@@ -59,6 +63,7 @@ def cases(tmp: Path) -> dict[str, tuple[list[str], str]]:
     n1024 = write("n1024.json", next(d for d in large if len(d["values"]) == 1024))
     bidders, increments = inputs.stream_inputs(SEED)[0]
     stream = write("stream.json", bidders)
+    one = ["--corpus", "count=1,nmin=2,nmax=2"]  # one instance of two bidders
     return {
         "pass": (["-c", "pass"], ""),
         "import": (["-c", "import clinch.cli"], ""),
@@ -66,6 +71,8 @@ def cases(tmp: Path) -> dict[str, tuple[list[str], str]]:
         "solve-1024": (["-c", ENTRY, "solve", "--input", n1024], ""),
         "stream-one": (["-c", ENTRY, "stream", "--input", stream],
                        json.dumps({"supply": increments[0]}) + "\n"),
+        "check-ic-one": (["-c", ENTRY, "check", "--property", "ic", *one], ""),
+        "check-pareto-one": (["-c", ENTRY, "check", "--property", "pareto", *one], ""),
     }
 
 

@@ -9,11 +9,9 @@ disagreement between them on engine outcomes as a build-stopping bug.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from . import engine, oracle
+from . import engine
 from .core import (
     EVENT_EXIT,
     AuctionError,
@@ -27,9 +25,14 @@ from .core import (
     validate_instance,
 )
 from .engine import state_at, wishful_allocation
+from .pcg64 import PCG64
 
-# where `verify_trace` samples the snapshot laws inside each clinching segment
-_INTERIOR = np.linspace(0.15, 0.85, 5).tolist()
+if TYPE_CHECKING:
+    import numpy as np
+
+# where `verify_trace` samples the snapshot laws inside each clinching
+# segment: np.linspace(0.15, 0.85, 5), written out
+_INTERIOR = [0.15, 0.32499999999999996, 0.5, 0.6749999999999999, 0.85]
 # Fixed slacks.
 TRACE_REL = 1e-8  # every trace law's relative slack, times max(1, |x|, ...)
 PARETO_REL = 1e-9  # the Pareto characterization's relative money slack
@@ -87,12 +90,17 @@ class CorpusSpec(Record, count=100, n_min=2, n_max=8, v_max=10.0, b_min=0.0, b_m
 
 
 def random_instances(spec: CorpusSpec) -> list[ValidatedInstance]:
-    rng = np.random.default_rng(spec.seed)
+    """`spec.count` instances drawn from `PCG64(spec.seed)`, the stream of
+    numpy's `default_rng(spec.seed)`: per instance, n, then n values, n
+    budgets and the supply, each uniform on the range, open at its lower
+    end, that `CorpusSpec.describe` prints."""
+    rng = PCG64(spec.seed)
+    width = spec.b_max - spec.b_min
     out = []
     for _ in range(spec.count):
-        n = int(rng.integers(spec.n_min, spec.n_max + 1))
-        vals = spec.v_max * (1.0 - rng.random(n))
-        buds = spec.b_min + (spec.b_max - spec.b_min) * (1.0 - rng.random(n))
+        n = rng.integers(spec.n_min, spec.n_max + 1)
+        vals = [spec.v_max * (1.0 - rng.random()) for _ in range(n)]
+        buds = [spec.b_min + width * (1.0 - rng.random()) for _ in range(n)]
         s = spec.s_max * (1.0 - rng.random())
         out.append(validate_instance(values=vals, budgets=buds, supply=s))
     return out
@@ -124,14 +132,14 @@ def stratified_two_player(seed: int = 0, count: int = 10000) -> list[ValidatedIn
     One budget is 1 to 4 times the other.  Supply is sampled inside the
     regime's spend window (below the poorer budget, between it and the split
     knee, or beyond the knee), for both value orders; player labels are then
-    swapped at random so the relabeling path is exercised too.
+    swapped at random so the relabeling path is exercised too.  The draws
+    come from `PCG64(seed)`, the stream of numpy's `default_rng(seed)`.
     """
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     out = []
     for k in range(count):
         regime = k % 6
-        v_pair = 10.0 * (1.0 - rng.random(2))
-        lo, hi = sorted(v_pair)
+        lo, hi = sorted(10.0 * (1.0 - rng.random()) for _ in range(2))
         if regime < 3:
             v1, v2 = lo, hi          # higher value on the poorer side
         else:
@@ -290,6 +298,8 @@ def _search_improvement(inst: ValidatedInstance, outcome: Outcome,
     the result is the first row, in draw order, with the largest strict
     gain.
     """
+    import numpy as np  # only the Pareto search needs it
+
     n = inst.n
     v = np.array(inst.values, dtype=float)
     b = np.array(inst.budgets, dtype=float)
@@ -367,7 +377,9 @@ def check_pareto(inst: ValidatedInstance, outcome: Outcome,
     on the calls before it; without `rng` every call starts from
     `default_rng(0)`.
     """
-    rng = rng or np.random.default_rng(0)
+    if rng is None:
+        import numpy as np
+        rng = np.random.default_rng(0)
     char_viol, char_msg = _characterization_violation(inst, outcome)
     search_gain, search_hit = _search_improvement(inst, outcome, rng, candidates)
     details = (f"characterization: {'fail: ' + char_msg if char_msg else 'pass'}",
@@ -438,6 +450,10 @@ def check_oracle_agreement(instances, h: float, slack: float | None = None
     The default agreement slack is 10*h, matching the integrator's
     membership tolerance scale (a first-order method's error budget moves
     with its step)."""
+    import numpy as np
+
+    from . import oracle  # only this check needs the integrator
+
     if slack is None:
         slack = 10.0 * h
     worst = 0.0

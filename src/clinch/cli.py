@@ -125,7 +125,7 @@ def _cmd_n2(args) -> int:
 
 
 def _cmd_vcg(args) -> int:
-    from . import vcg  # imports numpy, which only check and vcg need
+    from . import vcg  # imports numpy, which only vcg and check pareto|oracle need
 
     inst = instance_from_json(_read_input(args.input), require_supply=True)
     if args.table is not None:
@@ -159,6 +159,7 @@ def _parse_corpus(text: str | None) -> dict:
 _SPEC_FIELDS = dict(count="count", nmin="n_min", nmax="n_max", vmax="v_max",
                     bmin="b_min", bmax="b_max", smax="s_max")
 _INT_KEYS = ("count", "nmin", "nmax", "points", "candidates", "pairs")
+_MAX_BIDDERS = 10**6  # the largest --corpus nmax: a corpus is drawn whole, into memory
 
 
 def _check_monotone(checks, inst, rng, pairs=3, **slack):
@@ -186,8 +187,6 @@ _CHECKS = {
 
 
 def _cmd_check(args) -> int:
-    import numpy as np  # only check and vcg need numpy
-
     from . import checks
 
     defaults, keywords, check_one = _CHECKS[args.property]
@@ -203,9 +202,11 @@ def _cmd_check(args) -> int:
             raise ValueError(f"--corpus {key} must be a whole number, got {val}")
     opts = {key: int(val) if key in _INT_KEYS else val
             for key, val in {**defaults, **given}.items()}
-    for key in ("count", "pairs", "candidates"):
+    for key in ("count", "pairs", "candidates", "nmin"):
         if opts.get(key, 1) < 1:
             raise ValueError(f"--corpus {key} must be at least 1, got {opts[key]}")
+    if opts.get("nmax", 1) > _MAX_BIDDERS:
+        raise ValueError(f"--corpus nmax must be at most {_MAX_BIDDERS}, got {opts['nmax']}")
     slack = {}
     if args.tolerance is not None:
         if not 0.0 <= args.tolerance < math.inf:
@@ -225,7 +226,11 @@ def _cmd_check(args) -> int:
             field: opts[key] for key, field in _SPEC_FIELDS.items() if key in opts})
         if spec.n_min > spec.n_max:
             raise ValueError(f"--corpus nmin={spec.n_min} exceeds nmax={spec.n_max}")
-        rng = np.random.default_rng(args.seed)
+        if args.property == "pareto":  # its search draws ziggurat normals
+            import numpy as np
+            rng = np.random.default_rng(args.seed)
+        else:  # monotone's supply pairs; ic, ir and budget draw nothing
+            rng = checks.PCG64(args.seed)
         kw = {key: opts[key] for key in keywords if key in opts}
         reports = [check_one(checks, inst, rng, **kw, **slack)
                    for inst in checks.random_instances(spec)]

@@ -149,6 +149,22 @@ class TestImports:
         ], showcase_file)
         assert proc.returncode == 0, proc.stderr
 
+    def test_check_loads_numpy_only_for_pareto_and_oracle(self):
+        proc = _run_script([
+            "import contextlib, io, sys",
+            "import clinch.cli",
+            "def check(prop):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        return clinch.cli.main(['check', '--property', prop, '--corpus', 'count=1'])",
+            "for prop in ('ic', 'ir', 'budget', 'monotone'):",
+            "    assert check(prop) == 0",
+            "    for mod in ('numpy', 'clinch.oracle'):",
+            "        assert mod not in sys.modules, f'check --property {prop} loaded {mod}'",
+            "assert check('pareto') == 0 and check('oracle') == 0",
+            "assert 'numpy' in sys.modules and 'clinch.oracle' in sys.modules",
+        ])
+        assert proc.returncode == 0, proc.stderr
+
     def test_only_a_json_trace_loads_the_trace_encoder(self, showcase_file):
         proc = _run_script([
             "import io, sys",
@@ -518,6 +534,24 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "nmin=3" in err and "nmax=2" in err
+
+    @pytest.mark.parametrize("prop, corpus, message", [
+        ("ir", "count=1,nmin=-3,nmax=2", "--corpus nmin must be at least 1, got -3"),
+        ("monotone", "nmin=0", "--corpus nmin must be at least 1, got 0"),
+        ("ir", "count=1,nmin=1e12,nmax=1e12",
+         "--corpus nmax must be at most 1000000, got 1000000000000"),
+        ("ic", "nmax=1000001", "--corpus nmax must be at most 1000000, got 1000001")])
+    def test_bidder_count_no_corpus_can_hold_is_usage_error(self, capsys, monkeypatch,
+                                                            prop, corpus, message):
+        # refused before anything is drawn: a huge n would fill the memory
+        def no_draws(*args):
+            raise AssertionError("drew a corpus")
+
+        monkeypatch.setattr(checks, "random_instances", no_draws)
+        monkeypatch.setattr(checks, "PCG64", no_draws)
+        code, out, err = run(capsys, "check", "--property", prop, "--corpus", corpus)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("prop, corpus", [
         ("ic", "count=inf"), ("ic", "count=1e400"), ("ic", "points=inf"),

@@ -1,9 +1,11 @@
 """The output-identity manifest: `scripts/output_digest.py` must print the
-digests committed in `tests/output_digests.txt`.  Only the `solve`, `trace`
-and `stream` cases run here: their inputs come from the standard library's
-`random` and they need no numpy, so a numpy upgrade cannot move them.  The
-`check` cases are diffed in CI.  A change that alters output bytes on
-purpose regenerates the file, so the change shows in its diff.
+digests committed in `tests/output_digests.txt`.  The cases that need no
+numpy run here: `solve`, `trace` and `stream`, whose inputs come from the
+standard library's `random`, and `check` for `ic`, `ir`, `budget` and
+`monotone`, whose corpora come from `clinch.pcg64`.  A numpy upgrade cannot
+move them.  The `pareto` and `oracle` cases depend on numpy's streams and
+are diffed in CI.  A change that alters output bytes on purpose
+regenerates the file, so the change shows in its diff.
 
     PYTHONPATH=src python scripts/output_digest.py > tests/output_digests.txt
 """
@@ -12,7 +14,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).with_name("output_digests.txt")
-FAST = ("solve/", "trace/", "stream/")
+FAST = ("solve/", "trace/", "stream/", "check/ic/", "check/ir/", "check/budget/",
+        "check/monotone/")
 
 _spec = importlib.util.spec_from_file_location("output_digest",
                                                ROOT / "scripts" / "output_digest.py")
@@ -31,5 +34,5 @@ def test_pinned_file_covers_the_whole_manifest():
 
 def test_fast_cases_keep_their_pinned_digests():
     want = [line for line in _pinned() if line.split()[1].startswith(FAST)]
-    assert len(want) == 9 + 2 * 2 + 4
+    assert len(want) == 9 + 2 * 2 + 4 + 4 * 5 * 2
     assert output_digest.digests(FAST)[:-1] == want
