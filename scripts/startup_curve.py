@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python scripts/startup_curve.py [--reps N]
 
-Times seven cases, each a fresh interpreter started with
+Times nine cases, each a fresh interpreter started with
 PYTHONDONTWRITEBYTECODE=1, as the benchmark runs them:
 
 - `pass`: a bare interpreter;
@@ -10,12 +10,15 @@ PYTHONDONTWRITEBYTECODE=1, as the benchmark runs them:
 - `solve-two`: `clinch solve` on perfbench's two-bidder start-up input;
 - `solve-1024`: `clinch solve` on the first n=1024 instance of the seed-1
   `large-solve` draw;
+- `trace-two`: `clinch trace` on the same two-bidder input, the
+  `large-trace` workload's start-up operation;
 - `stream-one`: `clinch stream` on the first seed-1 `stream-online` bidder
   set, fed its first increment;
 - `check-ic-one`: `clinch check --property ic` on one two-bidder instance,
   the argv of the `property-check` workload's start-up operation, which
   loads no numpy;
-- `check-pareto-one`: the same for `--property pareto`, which loads numpy.
+- `check-pareto-one`: the same for `--property pareto`, which loads numpy;
+- `vcg-multiunit`: `clinch vcg --family multiunit` on the two-bidder input.
 
 The inputs are read through `perfbench/inputs.py` and not edited.  The
 commands run as the console script runs them (`sys.exit(main())`), with
@@ -69,10 +72,12 @@ def cases(tmp: Path) -> dict[str, tuple[list[str], str]]:
         "import": (["-c", "import clinch.cli"], ""),
         "solve-two": (["-c", ENTRY, "solve", "--input", two], ""),
         "solve-1024": (["-c", ENTRY, "solve", "--input", n1024], ""),
+        "trace-two": (["-c", ENTRY, "trace", "--input", two], ""),
         "stream-one": (["-c", ENTRY, "stream", "--input", stream],
                        json.dumps({"supply": increments[0]}) + "\n"),
         "check-ic-one": (["-c", ENTRY, "check", "--property", "ic", *one], ""),
         "check-pareto-one": (["-c", ENTRY, "check", "--property", "pareto", *one], ""),
+        "vcg-multiunit": (["-c", ENTRY, "vcg", "--family", "multiunit", "--input", two], ""),
     }
 
 

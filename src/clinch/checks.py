@@ -485,6 +485,97 @@ def check_oracle_agreement(instances, h: float, slack: float | None = None
 
 
 # ---------------------------------------------------------------------------
+# `clinch check`: one property over a seeded corpus
+
+# The CorpusSpec field that each generator key of --corpus sets; a key not
+# given keeps the field's default.
+_SPEC_FIELDS = dict(count="count", nmin="n_min", nmax="n_max", vmax="v_max",
+                    bmin="b_min", bmax="b_max", smax="s_max")
+_INT_KEYS = ("count", "nmin", "nmax", "points", "candidates", "pairs")
+_MAX_BIDDERS = 10**6  # the most bidders a corpus may hold: it is drawn whole, into memory
+
+
+# Per property: the --corpus defaults it sets itself, the keys it passes to
+# its check as keywords (a key not given keeps the check's own default) and
+# the check of one instance.  oracle checks the whole corpus at once and
+# reads only its own keys.  The checks are looked up as they run, so a
+# wrapper set on this module sees every call.
+_CHECKS = {
+    "ic": (dict(count=40, nmax=6), ("points",),
+           lambda inst, rng, **kw: check_ic(inst, **kw)),
+    "ir": (dict(count=400), (),
+           lambda inst, rng, **kw: check_ir(inst, engine.solve(inst), **kw)),
+    "budget": (dict(count=400), (),
+               lambda inst, rng, **kw: check_budget(inst, engine.solve(inst), **kw)),
+    "pareto": (dict(count=100), ("candidates",),
+               lambda inst, rng, **kw: check_pareto(inst, engine.solve(inst), rng, **kw)),
+    "monotone": (dict(count=100), ("pairs",), lambda inst, rng, pairs=3, **kw:
+                 check_supply_monotonicity(inst.values, inst.budgets, [
+                     (inst.supply * rng.random(), inst.supply) for _ in range(pairs)], **kw)),
+    "oracle": (dict(count=40, h=1e-3), (), None),
+}
+
+
+def run_property(prop: str, seed: int, corpus: str | None, tolerance: float | None
+                 ) -> PropertyReport:
+    """`clinch check`: the property over its seeded corpus, as one merged
+    report.  A usage error raises ValueError before anything is drawn."""
+    defaults, keywords, check_one = _CHECKS[prop]
+    reads = {*defaults} if check_one is None else {*_SPEC_FIELDS, *keywords}
+    tokens = [t.partition("=") for t in (corpus or "").split(",") if t.strip()]
+    given = {key.strip(): float(val) for key, _, val in tokens}
+    for key, val in given.items():
+        if key not in reads:
+            raise ValueError(f"--corpus key {key!r} is not read by --property "
+                             f"{prop}, which reads {', '.join(sorted(reads))}")
+        if not math.isfinite(val):
+            raise ValueError(f"--corpus {key} must be finite, got {val}")
+        if key in _INT_KEYS and not val.is_integer():
+            raise ValueError(f"--corpus {key} must be a whole number, got {val}")
+    opts = {key: int(val) if key in _INT_KEYS else val
+            for key, val in {**defaults, **given}.items()}
+    for key in ("count", "pairs", "candidates", "nmin"):
+        if opts.get(key, 1) < 1:
+            raise ValueError(f"--corpus {key} must be at least 1, got {opts[key]}")
+    if opts.get("nmax", 1) > _MAX_BIDDERS:
+        raise ValueError(f"--corpus nmax must be at most {_MAX_BIDDERS}, got {opts['nmax']}")
+    slack = {}
+    if tolerance is not None:
+        if not 0.0 <= tolerance < math.inf:
+            raise ValueError(f"--tolerance must be a finite non-negative number, got "
+                             f"{tolerance}")
+        if prop == "pareto":
+            raise ValueError("--tolerance does not apply to --property pareto: its "
+                             "characterization and search slacks are fixed")
+        slack["slack"] = tolerance
+
+    spec = (oracle_corpus(seed=seed, count=opts["count"]) if check_one is None else
+            CorpusSpec(seed=seed, **{field: opts[key] for key, field in _SPEC_FIELDS.items()
+                                     if key in opts}))
+    for bad, msg in (
+            (spec.n_min > spec.n_max, f"nmin={spec.n_min} exceeds nmax={spec.n_max}"),
+            (spec.b_min < 0.0, f"bmin must be non-negative, got {spec.b_min}"),
+            (spec.b_min >= spec.b_max, f"bmin={spec.b_min} must be below bmax={spec.b_max}"),
+            (spec.v_max <= 0.0, f"vmax must be positive, got {spec.v_max}"),
+            (spec.s_max <= 0.0, f"smax must be positive, got {spec.s_max}"),
+            (spec.count * spec.n_max > _MAX_BIDDERS, f"count={spec.count} of up to "
+             f"{spec.n_max} bidders each exceeds {_MAX_BIDDERS} bidders")):
+        if bad:
+            raise ValueError(f"--corpus {msg}")
+
+    if check_one is None:
+        return check_oracle_agreement(random_instances(spec), h=opts["h"], **slack)
+    if prop == "pareto":  # its search draws ziggurat normals
+        import numpy as np
+        rng = np.random.default_rng(seed)
+    else:  # monotone's supply pairs; ic, ir and budget draw nothing
+        rng = PCG64(seed)
+    kw = {key: opts[key] for key in keywords if key in opts}
+    reports = [check_one(inst, rng, **kw, **slack) for inst in random_instances(spec)]
+    return merge_reports(reports[0].name, spec.describe(), reports)
+
+
+# ---------------------------------------------------------------------------
 # Trace invariants
 
 def _segment_integrals(start: PriceState, p1: float) -> tuple[list[float], float]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import engine
@@ -125,7 +124,7 @@ def _cmd_n2(args) -> int:
 
 
 def _cmd_vcg(args) -> int:
-    from . import vcg  # imports numpy, which only vcg and check pareto|oracle need
+    from . import vcg  # only vcg needs it
 
     inst = instance_from_json(_read_input(args.input), require_supply=True)
     if args.table is not None:
@@ -149,100 +148,17 @@ def _cmd_vcg(args) -> int:
     return 0
 
 
-def _parse_corpus(text: str | None) -> dict:
-    tokens = [t.partition("=") for t in (text or "").split(",") if t.strip()]
-    return {key.strip(): float(val) for key, _, val in tokens}
-
-
-# The CorpusSpec field that each generator key of --corpus sets; a key not
-# given keeps the field's default.
-_SPEC_FIELDS = dict(count="count", nmin="n_min", nmax="n_max", vmax="v_max",
-                    bmin="b_min", bmax="b_max", smax="s_max")
-_INT_KEYS = ("count", "nmin", "nmax", "points", "candidates", "pairs")
-_MAX_BIDDERS = 10**6  # the largest --corpus nmax: a corpus is drawn whole, into memory
-
-
-def _check_monotone(checks, inst, rng, pairs=3, **slack):
-    base = inst.supply
-    pairs = [(base * rng.random(), base) for _ in range(pairs)]
-    return checks.check_supply_monotonicity(inst.values, inst.budgets, pairs, **slack)
-
-
-# Per property: the --corpus defaults it sets itself, the keys it passes to
-# its check as keywords (a key not given keeps the check's own default) and
-# the check of one instance.  oracle checks the whole corpus at once and
-# reads only its own keys.
-_CHECKS = {
-    "ic": (dict(count=40, nmax=6), ("points",),
-           lambda checks, inst, rng, **kw: checks.check_ic(inst, **kw)),
-    "ir": (dict(count=400), (), lambda checks, inst, rng, **kw:
-           checks.check_ir(inst, engine.solve(inst), **kw)),
-    "budget": (dict(count=400), (), lambda checks, inst, rng, **kw:
-               checks.check_budget(inst, engine.solve(inst), **kw)),
-    "pareto": (dict(count=100), ("candidates",), lambda checks, inst, rng, **kw:
-               checks.check_pareto(inst, engine.solve(inst), rng, **kw)),
-    "monotone": (dict(count=100), ("pairs",), _check_monotone),
-    "oracle": (dict(count=40, h=1e-3), (), None),
-}
-
-
 def _cmd_check(args) -> int:
     from . import checks
 
-    defaults, keywords, check_one = _CHECKS[args.property]
-    reads = {*defaults} if check_one is None else {*_SPEC_FIELDS, *keywords}
-    given = _parse_corpus(args.corpus)
-    for key, val in given.items():
-        if key not in reads:
-            raise ValueError(f"--corpus key {key!r} is not read by --property "
-                             f"{args.property}, which reads {', '.join(sorted(reads))}")
-        if not math.isfinite(val):
-            raise ValueError(f"--corpus {key} must be finite, got {val}")
-        if key in _INT_KEYS and not val.is_integer():
-            raise ValueError(f"--corpus {key} must be a whole number, got {val}")
-    opts = {key: int(val) if key in _INT_KEYS else val
-            for key, val in {**defaults, **given}.items()}
-    for key in ("count", "pairs", "candidates", "nmin"):
-        if opts.get(key, 1) < 1:
-            raise ValueError(f"--corpus {key} must be at least 1, got {opts[key]}")
-    if opts.get("nmax", 1) > _MAX_BIDDERS:
-        raise ValueError(f"--corpus nmax must be at most {_MAX_BIDDERS}, got {opts['nmax']}")
-    slack = {}
-    if args.tolerance is not None:
-        if not 0.0 <= args.tolerance < math.inf:
-            raise ValueError(f"--tolerance must be a finite non-negative number, got "
-                             f"{args.tolerance}")
-        if args.property == "pareto":
-            raise ValueError("--tolerance does not apply to --property pareto: its "
-                             "characterization and search slacks are fixed")
-        slack["slack"] = args.tolerance
-
-    if check_one is None:
-        spec = checks.oracle_corpus(seed=args.seed, count=opts["count"])
-        reports = [checks.check_oracle_agreement(checks.random_instances(spec),
-                                                 h=opts["h"], **slack)]
-    else:
-        spec = checks.CorpusSpec(seed=args.seed, **{
-            field: opts[key] for key, field in _SPEC_FIELDS.items() if key in opts})
-        if spec.n_min > spec.n_max:
-            raise ValueError(f"--corpus nmin={spec.n_min} exceeds nmax={spec.n_max}")
-        if args.property == "pareto":  # its search draws ziggurat normals
-            import numpy as np
-            rng = np.random.default_rng(args.seed)
-        else:  # monotone's supply pairs; ic, ir and budget draw nothing
-            rng = checks.PCG64(args.seed)
-        kw = {key: opts[key] for key in keywords if key in opts}
-        reports = [check_one(checks, inst, rng, **kw, **slack)
-                   for inst in checks.random_instances(spec)]
-        reports = [checks.merge_reports(reports[0].name, spec.describe(), reports)]
-
+    rep = checks.run_property(args.property, args.seed, args.corpus, args.tolerance)
     if args.format == "table":
-        rows = [(r.name, "pass" if r.passed else "FAIL",
-                 format(r.worst_violation, ".3e"), r.corpus) for r in reports]
-        print(_table(rows, ("property", "verdict", "worst", "corpus")))
+        row = (rep.name, "pass" if rep.passed else "FAIL", format(rep.worst_violation, ".3e"),
+               rep.corpus)
+        print(_table([row], ("property", "verdict", "worst", "corpus")))
     else:
-        print(dumps([r.to_dict() for r in reports]))
-    return 0 if all(r.passed for r in reports) else 1
+        print(dumps([rep.to_dict()]))
+    return 0 if rep.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[shared],
                        help="run a property over a seeded random corpus")
-    p.add_argument("--property", required=True, choices=tuple(_CHECKS))
+    p.add_argument("--property", required=True,
+                   choices=("ic", "ir", "budget", "pareto", "monotone", "oracle"))
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random corpus and the checks' draws")
     p.add_argument("--corpus", default=None,

@@ -13,9 +13,8 @@ import itertools
 import math
 from typing import Callable
 
-import numpy as np
-
 from .core import OracleViolation, Outcome, validate_instance
+from .pcg64 import PCG64
 
 # the monotonicity slack of `SubmodularOracle.check` and `vcg_polymatroid`
 CHECK_TOL = 1e-9
@@ -68,14 +67,15 @@ class SubmodularOracle:
                             raise OracleViolation(
                                 f"not submodular: adding {i} to {sorted(s)} vs +{j}")
             return
-        rng = np.random.default_rng(0)
+        rng = PCG64(0)
         for _ in range(CHECK_TRIALS):
-            mask = rng.random(self.n) < rng.random()
-            s = frozenset(np.flatnonzero(mask).tolist())
+            cut = rng.random()
+            s = frozenset(i for i in players if rng.random() < cut)
             rest = [i for i in players if i not in s]
             if len(rest) < 2:
                 continue
-            i, j = rng.choice(rest, size=2, replace=False).tolist()
+            i = rest.pop(rng.integers(0, len(rest)))
+            j = rest[rng.integers(0, len(rest))]
             gain = self.value(s | {i}) - self.value(s)
             if gain < -CHECK_TOL:
                 raise OracleViolation(f"not monotone at {sorted(s)} + {i}")

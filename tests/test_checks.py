@@ -248,6 +248,16 @@ class TestMonotonicity:
                                         [(1.0, 1.0)])
         assert rep.passed and rep.worst_violation <= 1e-12
 
+    def test_a_pair_in_either_order_gives_the_same_report(self):
+        # a zero slack fails on a rounding-level drop, so the witness, which
+        # names the pair low end first, is compared too
+        pairs = [(0.5, 1.0), (0.1, 5.0)]
+        rep = check_supply_monotonicity(SHOWCASE.values, SHOWCASE.budgets, pairs,
+                                        slack=0.0)
+        swapped = check_supply_monotonicity(SHOWCASE.values, SHOWCASE.budgets,
+                                            [(hi, lo) for lo, hi in pairs], slack=0.0)
+        assert swapped == rep and rep.witness["pair"] == [0.1, 5.0]
+
 
 class TestOracleAgreement:
     def test_small_corpus_passes(self):

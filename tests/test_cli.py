@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import inspect
 import io
@@ -13,7 +14,7 @@ import pytest
 
 import clinch
 from clinch import checks
-from clinch.cli import main
+from clinch.cli import build_parser, main
 from clinch.core import dumps
 
 
@@ -30,6 +31,16 @@ def pair_file(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(dumps({"values": [1, 2], "budgets": [3, 2], "supply": 1}))
     return str(path)
+
+
+@pytest.fixture()
+def no_draws(monkeypatch):
+    """Make `clinch check` fail the test if it starts to draw a corpus."""
+    def draw(*args):
+        raise AssertionError("drew a corpus")
+
+    monkeypatch.setattr(checks, "random_instances", draw)
+    monkeypatch.setattr(checks, "PCG64", draw)
 
 
 def run(capsys, *argv):
@@ -83,6 +94,13 @@ class TestSolve:
         bad.write_text('{"values": [1, -2], "budgets": [1, 1], "supply": 1}')
         code, _, err = run(capsys, "solve", "--input", str(bad))
         assert code == 2 and "negative" in err
+
+    def test_malformed_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"values": [1,')
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON") and err.count("\n") == 1
 
     @pytest.mark.parametrize("doc, message", [
         ('{"values": 5, "budgets": [1], "supply": 1}', "values must be an array"),
@@ -163,6 +181,19 @@ class TestImports:
             "assert check('pareto') == 0 and check('oracle') == 0",
             "assert 'numpy' in sys.modules and 'clinch.oracle' in sys.modules",
         ])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_vcg_never_loads_numpy(self, pair_file, tmp_path):
+        table = tmp_path / "table.json"
+        table.write_text('{"0": 2, "1": 2, "0,1": 3}')
+        proc = _run_script([
+            "import contextlib, io, sys",
+            "import clinch.cli",
+            "for how in (['--family', 'multiunit'], ['--table', sys.argv[2]]):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert clinch.cli.main(['vcg', '--input', sys.argv[1], *how]) == 0",
+            "    assert 'numpy' not in sys.modules, f'clinch vcg {how} loaded numpy'",
+        ], pair_file, str(table))
         assert proc.returncode == 0, proc.stderr
 
     def test_only_a_json_trace_loads_the_trace_encoder(self, showcase_file):
@@ -279,6 +310,15 @@ class TestStream:
         assert lines[1]["pi"] == [0, 1]
         total_dx = [a + b for a, b in zip(lines[0]["delta_x"], lines[1]["delta_x"])]
         assert total_dx == [0, 1]
+
+    def test_blank_lines_are_skipped(self, capsys, pair_file, monkeypatch):
+        feed = '{"supply": 0.5}\n{"supply": 0.25}\n'
+        monkeypatch.setattr("sys.stdin", io.StringIO(feed))
+        plain = run(capsys, "stream", "--input", pair_file)
+        padded = '\n  \n{"supply": 0.5}\n\t\n\n{"supply": 0.25}\n   \n'
+        monkeypatch.setattr("sys.stdin", io.StringIO(padded))
+        assert run(capsys, "stream", "--input", pair_file) == plain
+        assert plain[0] == 0 and len(plain[1].splitlines()) == 2
 
     @pytest.mark.parametrize("line, message", [
         ("[1]", 'expected a line {"supply": number}'),
@@ -540,18 +580,58 @@ class TestCheck:
         ("monotone", "nmin=0", "--corpus nmin must be at least 1, got 0"),
         ("ir", "count=1,nmin=1e12,nmax=1e12",
          "--corpus nmax must be at most 1000000, got 1000000000000"),
-        ("ic", "nmax=1000001", "--corpus nmax must be at most 1000000, got 1000001")])
-    def test_bidder_count_no_corpus_can_hold_is_usage_error(self, capsys, monkeypatch,
+        ("ic", "nmax=1000001", "--corpus nmax must be at most 1000000, got 1000001"),
+        ("ir", "count=1e9,nmax=2",
+         "--corpus count=1000000000 of up to 2 bidders each exceeds 1000000 bidders"),
+        ("ir", "nmax=1000000",
+         "--corpus count=400 of up to 1000000 bidders each exceeds 1000000 bidders"),
+        ("ic", "count=166667",
+         "--corpus count=166667 of up to 6 bidders each exceeds 1000000 bidders"),
+        ("oracle", "count=166667",
+         "--corpus count=166667 of up to 6 bidders each exceeds 1000000 bidders")])
+    def test_bidder_count_no_corpus_can_hold_is_usage_error(self, capsys, no_draws,
                                                             prop, corpus, message):
-        # refused before anything is drawn: a huge n would fill the memory
-        def no_draws(*args):
-            raise AssertionError("drew a corpus")
-
-        monkeypatch.setattr(checks, "random_instances", no_draws)
-        monkeypatch.setattr(checks, "PCG64", no_draws)
+        # refused before anything is drawn: the whole corpus is held in memory
         code, out, err = run(capsys, "check", "--property", prop, "--corpus", corpus)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_property_choices_are_the_checks_table(self):
+        # --help lists the choices in this order, so they are written out
+        # in cli.py; they must name exactly the properties checks can run
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        (prop,) = [a for a in sub.choices["check"]._actions if a.dest == "property"]
+        assert prop.choices == tuple(checks._CHECKS)
+
+    @pytest.mark.parametrize("prop, corpus, message", [
+        ("ir", "count=2,bmin=5,bmax=1", "--corpus bmin=5.0 must be below bmax=1.0"),
+        ("budget", "bmin=2,bmax=2", "--corpus bmin=2.0 must be below bmax=2.0"),
+        ("ic", "bmax=0", "--corpus bmin=0.0 must be below bmax=0.0"),
+        ("pareto", "bmin=-1", "--corpus bmin must be non-negative, got -1.0"),
+        ("ir", "vmax=0", "--corpus vmax must be positive, got 0.0"),
+        ("monotone", "vmax=-3", "--corpus vmax must be positive, got -3.0"),
+        ("ir", "smax=0", "--corpus smax must be positive, got 0.0")])
+    def test_empty_or_reversed_range_is_usage_error(self, capsys, no_draws, prop,
+                                                    corpus, message):
+        code, out, err = run(capsys, "check", "--property", prop, "--corpus", corpus)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("prop, corpus", [
+        ("ir", "count=125000"), ("ic", "count=2,nmin=5e5,nmax=5e5"),
+        ("oracle", "count=166666")])
+    def test_corpus_of_the_largest_size_is_drawn(self, monkeypatch, prop, corpus):
+        class Drew(Exception):
+            pass
+
+        def draws(spec):
+            raise Drew(spec.count * spec.n_max)
+
+        monkeypatch.setattr(checks, "random_instances", draws)
+        with pytest.raises(Drew) as exc:
+            main(["check", "--property", prop, "--corpus", corpus])
+        assert exc.value.args[0] <= 10**6
 
     @pytest.mark.parametrize("prop, corpus", [
         ("ic", "count=inf"), ("ic", "count=1e400"), ("ic", "points=inf"),

@@ -142,6 +142,24 @@ class TestOracleChecks:
         with pytest.raises(OracleViolation):
             bad.check()
 
+    # above 12 players the check samples seeded random triples
+    def test_sampled_check_passes_for_capped_family(self):
+        asked = set()
+
+        def capped(sub):
+            asked.add(sub)
+            return min(20.0, float(sum(i + 1 for i in sub)))
+
+        SubmodularOracle(13, capped).check()
+        assert len(asked) > 200  # the triples were drawn, not skipped
+
+    @pytest.mark.parametrize("fn, message", [
+        (lambda s: float(len(s) ** 2), "not submodular at"),
+        (lambda s: -float(len(s)), "not monotone at")])
+    def test_sampled_check_rejects_violations(self, fn, message):
+        with pytest.raises(OracleViolation, match=message):
+            SubmodularOracle(13, fn).check()
+
     def test_empty_set_must_be_zero(self):
         with pytest.raises(OracleViolation):
             SubmodularOracle(2, lambda s: 1.0)
