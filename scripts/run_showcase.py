@@ -8,7 +8,7 @@ final exit exhausts the supply.
 """
 import argparse
 
-from clinch.checks import verify_trace
+from clinch.invariants import verify_trace
 from clinch.core import validate_instance
 from clinch.engine import trace, wishful_allocation
 

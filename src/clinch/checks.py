@@ -9,36 +9,30 @@ disagreement between them on engine outcomes as a build-stopping bug.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from operator import sub
+from typing import TYPE_CHECKING
 
 from . import engine
 from .core import (
-    EVENT_EXIT,
-    AuctionError,
     EventTrace,
     NonFinite,
     Outcome,
-    PriceState,
     Record,
     ValidatedInstance,
     tol,
     validate_instance,
+    with_supply,
 )
-from .engine import state_at, wishful_allocation
+from .engine import state_at  # unused here, but `checks.state_at` stays a name callers wrap
 from .pcg64 import PCG64
 
 if TYPE_CHECKING:
     import numpy as np
 
-# where `verify_trace` samples the snapshot laws inside each clinching
-# segment: np.linspace(0.15, 0.85, 5), written out
-_INTERIOR = [0.15, 0.32499999999999996, 0.5, 0.6749999999999999, 0.85]
 # Fixed slacks.
-TRACE_REL = 1e-8  # every trace law's relative slack, times max(1, |x|, ...)
 PARETO_REL = 1e-9  # the Pareto characterization's relative money slack
 SEARCH_MARGIN = 1e-6  # the gain a dominating outcome from the search must beat
 CONVERGENCE_SHRINK = 1.5  # the Euler mean error's required ratio from h to h/2
-QUAD_TOL = 1e-6  # the error bound of `myerson_gap`'s adaptive Simpson rule
 
 
 class PropertyReport(Record, witness=None, details=()):
@@ -188,19 +182,27 @@ def misreport_grid(inst: ValidatedInstance, player: int, points: int) -> list[fl
     return grid
 
 
-def _misreported(inst: ValidatedInstance, i: int, report: float) -> ValidatedInstance:
-    """`inst` with player i's value replaced by `report`, a point of
-    `misreport_grid` and so finite and non-negative: only the value order
-    changes, sorted stably as `validate_instance` sorts it."""
-    vals = list(inst.values)
-    vals[i] = report
-    vals = tuple(vals)
-    return ValidatedInstance(vals, inst.budgets, inst.supply,
-                             tuple(sorted(range(len(vals)), key=vals.__getitem__)),
-                             inst.budget_order)
+# The default solver, bound at import: `check_ic` sweeps each player's grid
+# with `engine.solve_misreports` only when it is given this very function.
+_SOLVE = engine.solve
 
 
-def check_ic(inst: ValidatedInstance, solver=engine.solve, points: int = 50,
+def _deviations(inst: ValidatedInstance, i: int, grid: list[float], solver):
+    """The outcomes of player i's misreports in `grid`, in grid order.
+
+    With the default solver one `engine.solve_misreports` sweep gives them,
+    bit for bit as `solve` would.  If the sweep raises, or for any other
+    solver, each report is solved on its own, so the first report that
+    raises does so as it would alone."""
+    if solver is _SOLVE:
+        try:
+            return engine.solve_misreports(inst, i, grid)
+        except Exception:
+            pass
+    return (solver(engine.misreport(inst, i, report)) for report in grid)
+
+
+def check_ic(inst: ValidatedInstance, solver=_SOLVE, points: int = 50,
              slack: float = 1e-6) -> PropertyReport:
     """No player can gain more than `slack` by any grid misreport."""
     base = solver(inst)
@@ -208,8 +210,8 @@ def check_ic(inst: ValidatedInstance, solver=engine.solve, points: int = 50,
     witness = None
     for i in range(inst.n):
         truth = inst.values[i] * base.allocation[i] - base.payments[i]
-        for report in misreport_grid(inst, i, points):
-            dev = solver(_misreported(inst, i, report))
+        grid = misreport_grid(inst, i, points)
+        for report, dev in zip(grid, _deviations(inst, i, grid, solver)):
             gain = (inst.values[i] * dev.allocation[i] - dev.payments[i]) - truth
             if gain > worst:
                 worst = gain
@@ -398,42 +400,64 @@ def check_pareto(inst: ValidatedInstance, outcome: Outcome,
 def check_supply_monotonicity(values, budgets, supply_pairs,
                               slack: float = 1e-8) -> PropertyReport:
     """x, payments and utilities all grow with supply; the wishful
-    allocation of the larger run dominates at every shared trace price."""
+    allocation of the larger run dominates at every shared trace price.
+
+    The value and budget profile is validated once, with the first pair,
+    and each distinct supply is traced once, however many pairs share it.
+    Each trace's wishful rows are then taken in one pass over the prices of
+    every pair that compares it (`engine.wishful_rows`), and the pairs are
+    compared in turn.
+    """
     worst = 0.0
     witness = None
+    profile = None
+    traces: dict[float, EventTrace] = {}
+    wanted: dict[float, set[float]] = {}  # supply -> the prices its trace is compared at
+    compared = []
     for s_lo, s_hi in supply_pairs:
         if s_lo > s_hi:
             s_lo, s_hi = s_hi, s_lo
-        lo = validate_instance(values=values, budgets=budgets, supply=s_lo)
-        hi = validate_instance(values=values, budgets=budgets, supply=s_hi)
-        tr_lo, tr_hi = engine.trace(lo), engine.trace(hi)
-        out_lo, out_hi = tr_lo.outcome, tr_hi.outcome
-        for i in range(lo.n):
-            drops = (
-                (out_lo.allocation[i] - out_hi.allocation[i], "allocation"),
-                (out_lo.payments[i] - out_hi.payments[i], "payment"),
-                ((lo.values[i] * out_lo.allocation[i] - out_lo.payments[i])
-                 - (hi.values[i] * out_hi.allocation[i] - out_hi.payments[i]),
-                 "utility"),
-            )
-            for drop, what in drops:
-                if drop > worst:
-                    worst = drop
-                    if drop > slack:
-                        witness = _witness(lo, player=i, quantity=what,
-                                           pair=[s_lo, s_hi])
-        prices = sorted({ev.price for ev in tr_lo.events + tr_hi.events
-                         if ev.price > 0.0})
+        if profile is None:
+            profile = validate_instance(values=values, budgets=budgets, supply=s_lo)
+        lo, hi = with_supply(profile, s_lo), with_supply(profile, s_hi)
+        for inst in (lo, hi):
+            if inst.supply not in traces:
+                traces[inst.supply] = engine.trace(inst)
+        events = traces[lo.supply].events + traces[hi.supply].events
+        prices = sorted({ev.price for ev in events if ev.price > 0.0})
+        for inst in (lo, hi):
+            wanted.setdefault(inst.supply, set()).update(prices)
+        compared.append((s_lo, s_hi, lo, hi, prices))
+    rows = {}  # supply -> price -> wishful row
+    for supply, ps in wanted.items():
+        ps = sorted(ps)
+        rows[supply] = dict(zip(ps, engine.wishful_rows(traces[supply], ps)))
+
+    def fold(lo: ValidatedInstance, drops: list[float], quantities: tuple[str, ...],
+             **where) -> None:
+        """Take the drops into `worst` in turn; drop k is player
+        k // len(quantities)'s quantities[k % len(quantities)] in `lo`."""
+        nonlocal worst, witness
+        for k, drop in enumerate(drops):
+            if drop > worst:
+                worst = drop
+                if drop > slack:
+                    i, q = divmod(k, len(quantities))
+                    witness = _witness(lo, player=i, quantity=quantities[q], **where)
+
+    for s_lo, s_hi, lo, hi, prices in compared:
+        out_lo, out_hi = traces[lo.supply].outcome, traces[hi.supply].outcome
+        drops = []
+        for v, a, b, c, d in zip(lo.values, out_lo.allocation, out_hi.allocation,
+                                 out_lo.payments, out_hi.payments):
+            drops += (a - b, c - d, (v * a - c) - (v * b - d))
+        if any(map(worst.__lt__, drops)):  # else no drop changes `worst` or the witness
+            fold(lo, drops, ("allocation", "payment", "utility"), pair=[s_lo, s_hi])
+        rows_lo, rows_hi = rows[lo.supply], rows[hi.supply]
         for p in prices:
-            psi_lo = wishful_allocation(state_at(tr_lo, p))
-            psi_hi = wishful_allocation(state_at(tr_hi, p))
-            for i in range(lo.n):
-                drop = psi_lo[i] - psi_hi[i]
-                if drop > worst:
-                    worst = drop
-                    if drop > slack:
-                        witness = _witness(lo, player=i, quantity="wishful allocation",
-                                           price=p, pair=[s_lo, s_hi])
+            drops = list(map(sub, rows_lo[p], rows_hi[p]))
+            if any(map(worst.__lt__, drops)):
+                fold(lo, drops, ("wishful allocation",), price=p, pair=[s_lo, s_hi])
     return PropertyReport("supply-monotonicity", "single value/budget profile",
                           worst, witness)
 
@@ -573,253 +597,3 @@ def run_property(prop: str, seed: int, corpus: str | None, tolerance: float | No
     kw = {key: opts[key] for key in keywords if key in opts}
     reports = [check_one(inst, rng, **kw, **slack) for inst in random_instances(spec)]
     return merge_reports(reports[0].name, spec.describe(), reports)
-
-
-# ---------------------------------------------------------------------------
-# Trace invariants
-
-def _segment_integrals(start: PriceState, p1: float) -> tuple[list[float], float]:
-    """Exact integrals along the closed-form segment from `start` to p1 > 0:
-    each player's integral of B_i(r)/r^2 over [p0, p1] (its wishful
-    decrement) and the money spent, the integral of r * (-dS/dr).
-
-    With q = p0/p1 and span = 1/p0 - 1/p1, every player gets B_i * span.  A
-    clincher's budget falls like B_i - p0*S0*ln(r/p0) for k = 1, which adds
-    S0*(q*(1 - ln q) - 1), and like B_i + c*((p0/r)^(k-1) - 1) for k > 1,
-    c = p0*S0/(k-1), which adds c*((1 - q^k)/(k*p0) - span).  The money is
-    p0*S0*(-ln q) for k = 1 and k*c*(1 - q^(k-1)) for k > 1.  They are
-    written through d = p1 - p0, log1p and expm1, so that a short segment
-    keeps its relative accuracy.
-    """
-    p0, S0, k = start.price, start.supply, len(start.clinching)
-    d = p1 - p0
-    span = d / (p0 * p1)
-    drops = [b * span for b in start.budgets]
-    if not k:
-        return drops, 0.0
-    log_ratio = math.log1p(d / p0)  # -ln q
-    if k == 1:
-        extra = S0 * (p0 / p1 * log_ratio - d / p1)
-        money = p0 * S0 * log_ratio
-    else:
-        c = p0 * S0 / (k - 1)
-        extra = c / p0 * (-math.expm1(-k * log_ratio) / k - d / p1)
-        money = k * c * -math.expm1(-(k - 1) * log_ratio)
-    for i in start.clinching:
-        drops[i] += extra
-    return drops, money
-
-
-def _near(a: float, b: float) -> bool:
-    """a and b agree within `TRACE_REL` * max(1, |a|, |b|)."""
-    return abs(a - b) <= TRACE_REL * max(1.0, abs(a), abs(b))
-
-
-def check_price_state(state: PriceState, initial_budgets: Sequence[float],
-                      total_supply: float, clinching_subset: bool = False) -> list[str]:
-    """Return violation messages for the structural snapshot invariants.
-
-    Checks, within the slack `TRACE_REL` * max(1, |a|, |b|) for compared
-    quantities a and b: the remnant-supply identity, the active set bounds
-    {i: v_i > p} <= A <= {i: v_i >= p, v_i > 0} (players with
-    v_i = p are still active at the left limit of their exit and between
-    the removals of a tied group), the supply inequality for every active
-    player, the remaining-budget profile min{B_i(0), B_*} and, when the
-    clinching set is non-empty, that it is exactly the set of active
-    max-budget players.
-
-    `clinching_subset` relaxes the last law to a subset check: at the left
-    limit of an entry price the joining player already holds the maximum
-    budget but enters the (right-continuous) set only at the price itself,
-    and a tied group's exits settle the set only after the last removal.
-    """
-    bad: list[str] = []
-    p, n, values = state.price, state.n, state.values
-    if not _near(state.supply, total_supply - sum(state.allocation)):
-        bad.append(f"supply identity: S={state.supply} vs s-sum(x)={total_supply - sum(state.allocation)}")
-    must = frozenset(i for i in range(n) if values[i] > p)
-    may = frozenset(i for i in range(n) if values[i] >= p and values[i] > 0.0)
-    if not must <= state.active <= may:
-        bad.append(f"active set {sorted(state.active)} not between {sorted(must)} "
-                   f"and {sorted(may)}")
-    if p > 0.0:
-        total = sum(state.budgets[j] for j in state.active)
-        for i in state.active:
-            others = (total - state.budgets[i]) / p
-            band = TRACE_REL * max(1.0, abs(state.supply), abs(others))
-            if not state.supply <= others + band:
-                bad.append(f"supply inequality fails for player {i}: S={state.supply} > {others}")
-    bstar = state.max_budget()
-    for i in state.active:
-        want = min(initial_budgets[i], bstar)
-        if not _near(state.budgets[i], want):
-            bad.append(f"budget profile: B_{i}={state.budgets[i]} != min(B0, B*)={want}")
-    if state.clinching:
-        tied = frozenset(i for i in state.active if _near(state.budgets[i], bstar))
-        if clinching_subset:
-            if not state.clinching <= tied:
-                bad.append(f"clinching set {sorted(state.clinching)} not within "
-                           f"max-budget actives {sorted(tied)}")
-        elif state.clinching != tied:
-            bad.append(f"clinching set {sorted(state.clinching)} != max-budget actives {sorted(tied)}")
-        if not state.clinching <= state.active:
-            bad.append("clinching set not a subset of active set")
-    return bad
-
-
-def verify_trace(tr: EventTrace) -> list[str]:
-    """Violation messages for every structural law along one trace, each
-    within the slack `TRACE_REL` * max(1, |x|).
-
-    When every value is positive, the final allocation must sum to the
-    supply.  A trace with one player or no events has no further law.
-
-    One pass over the events: the state after the previous event (or the
-    initial state) is evolved once to the event's price.  The segment up to
-    that left limit is checked at five interior prices and against two
-    integral laws, both in closed form (see `_segment_integrals`): the
-    wishful decrement equals the integral of B/price^2, and the money paid
-    so far equals the price-weighted integral of sold supply.  The left
-    limit and the state after the event are visited in turn (see `visit`);
-    the state after an event is at the event's price; the wishful allocation
-    is continuous across an exit; an exit takes its players out of the
-    active set and an entry leaves it as it was.  An event that the previous
-    state cannot be evolved to is reported, and the pass goes on from the
-    state recorded after it.
-    """
-    bad: list[str] = []
-    inst = validate_instance(values=tr.values, budgets=tr.budgets, supply=tr.supply)
-    if all(v > 0.0 for v in tr.values):  # full allocation
-        total = sum(tr.outcome.allocation)
-        if abs(total - tr.supply) > TRACE_REL * max(1.0, tr.supply):
-            bad.append(f"final allocation sums to {total}, supply is {tr.supply}")
-    if inst.n == 1 or not tr.events:
-        return bad
-    values = tr.values
-
-    def laws(st: PriceState, label: str, clinching_subset: bool = False) -> None:
-        for msg in check_price_state(st, tr.budgets, tr.supply, clinching_subset):
-            bad.append(f"{label}: {msg}")
-
-    def visit(st: PriceState, label: str, clinching_subset: bool = False) -> None:
-        """The snapshot laws at `st`, then monotonicity, clinching persistence
-        and the wishful allocation against the last visited state."""
-        nonlocal last
-        laws(st, label, clinching_subset)
-        for i in range(inst.n):
-            if st.allocation[i] < last.allocation[i] - TRACE_REL:
-                bad.append(f"{label}: allocation of {i} decreased")
-            b = st.budgets[i]
-            if b > last.budgets[i] + TRACE_REL * max(1.0, abs(b)):
-                bad.append(f"{label}: budget of {i} increased")
-        for i in last.clinching - st.clinching:
-            if values[i] > st.price:
-                bad.append(f"{label}: player {i} left the clinching set early")
-        if st.price > 0.0 and last.price > 0.0:
-            psi, psi_last = wishful_allocation(st), wishful_allocation(last)
-            for i in range(inst.n):
-                if psi[i] > psi_last[i] + TRACE_REL * max(1.0, abs(psi[i])):
-                    bad.append(f"{label}: wishful allocation of {i} increased")
-        last = st
-
-    def segment(start: PriceState, end: PriceState) -> float:
-        """Check the segment from `start` to its evolved `end`; return the
-        money its clinching collected."""
-        p0, p1 = start.price, end.price
-        if p1 <= p0:
-            return 0.0
-        if start.clinching:
-            for frac in _INTERIOR:
-                p = p0 + frac * (p1 - p0)
-                laws(engine.evolve(start, p), f"inside segment at p={p:g}")
-        if p0 <= 0.0:  # no clinchers here: evolving them from 0 raises ZeroPrice
-            return 0.0
-        drops, money = _segment_integrals(start, p1)
-        psi0, psi1 = wishful_allocation(start), wishful_allocation(end)
-        for i, drop in enumerate(drops):
-            if abs((psi0[i] - psi1[i]) - drop) > TRACE_REL * max(1.0, abs(psi0[i])):
-                bad.append(f"segment from p={p0:g}: wishful decrement of "
-                           f"{i} is {psi0[i] - psi1[i]}, integral gives {drop}")
-        return money
-
-    prev = last = engine.initial_state(inst)
-    visit(prev, "initial")
-    collected = 0.0
-    for ev in tr.events:
-        at, after = f"{ev.kind}@{ev.price:g}", ev.after
-        total_paid = sum(b0 - b for b0, b in zip(tr.budgets, after.budgets))
-        try:
-            left = engine.evolve(prev, ev.price)
-            sold = segment(prev, left)
-        except (AuctionError, ValueError) as exc:
-            bad.append(f"before {at}: the previous state does not evolve to the "
-                       f"event: {exc}")
-            collected = total_paid
-        else:
-            visit(left, f"before {at}", True)
-            if ev.kind == EVENT_EXIT and ev.price > 0.0:
-                pre, post = wishful_allocation(left), wishful_allocation(after)
-                for i in range(inst.n):
-                    if abs(pre[i] - post[i]) > TRACE_REL * max(1.0, abs(pre[i])):
-                        bad.append(f"exit@{ev.price:g}: wishful allocation of {i} "
-                                   f"jumped by {post[i] - pre[i]}")
-            collected = collected + sold + sum(ev.delta_pay)
-            if abs(total_paid - collected) > TRACE_REL * max(1.0, abs(collected)):
-                bad.append(f"after {at}: money paid {total_paid} != "
-                           f"price-weighted sales {collected}")
-        if after.price != ev.price:
-            bad.append(f"after {at}: state price {after.price} != event price "
-                       f"{ev.price}")
-        visit(after, f"after {at}", any(values[i] <= ev.price for i in after.active))
-        want = prev.active - set(ev.players) if ev.kind == EVENT_EXIT else prev.active
-        if after.active != want:
-            bad.append(f"after {at}: active set {sorted(after.active)} != expected "
-                       f"{sorted(want)}")
-        prev = after
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# Myerson payment identity
-
-def _adaptive_simpson(f, a: float, b: float, fa: float, fm: float, fb: float,
-                      tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, tol / 2.0, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, tol / 2.0, depth - 1))
-
-
-def myerson_gap(inst: ValidatedInstance, player: int) -> float:
-    """|pay_i - (v_i x_i - integral of x_i over reports in [0, v_i])|.
-
-    The allocation curve jumps only at opponent values but has steep knees
-    inside the pieces (where a budget starts or stops binding as the
-    report moves), so the re-solved allocation is integrated by adaptive
-    Simpson between opponent values.
-    """
-    v_i = inst.values[player]
-    out = engine.solve(inst)
-    breaks = sorted({0.0, v_i, *(v for j, v in enumerate(inst.values)
-                                 if j != player and 0.0 < v < v_i)})
-
-    def x_of(u: float) -> float:
-        vals = list(inst.values)
-        vals[player] = float(u)
-        dev = engine.solve(validate_instance(values=vals, budgets=inst.budgets,
-                                             supply=inst.supply))
-        return dev.allocation[player]
-
-    integral = 0.0
-    for lo, hi in zip(breaks, breaks[1:]):
-        nudge = 1e-12 * (hi - lo)
-        integral += _adaptive_simpson(x_of, lo, hi, x_of(lo + nudge),
-                                      x_of(0.5 * (lo + hi)), x_of(hi - nudge),
-                                      QUAD_TOL, 36)
-    predicted = v_i * out.allocation[player] - integral
-    return abs(out.payments[player] - predicted)

@@ -181,7 +181,8 @@ def validate_instance(
     """Validate an instance and attach derived metadata.
 
     Idempotent: re-validating a ValidatedInstance reproduces it exactly.
-    Raises NonFinite / NegativeEntry / LengthMismatch / EmptyInstance.
+    Raises NonFinite / NegativeEntry / LengthMismatch / EmptyInstance; the
+    budgets must also have a finite sum, which the engine takes.
     """
     if inst is not None:
         values, budgets, supply = inst.values, inst.budgets, inst.supply
@@ -189,6 +190,10 @@ def validate_instance(
         raise LengthMismatch("values, budgets and supply are all required")
     vals = _as_floats("values", values)
     buds = _as_floats("budgets", budgets)
+    try:
+        math.fsum(buds)
+    except OverflowError:
+        raise NonFinite("budgets sum to more than the largest double") from None
     if len(vals) == 0:
         raise EmptyInstance("need at least one player")
     if len(vals) != len(buds):
@@ -198,6 +203,14 @@ def validate_instance(
     ids = range(len(vals))
     return ValidatedInstance(vals, buds, sup, tuple(sorted(ids, key=vals.__getitem__)),
                              tuple(sorted(ids, key=buds.__getitem__, reverse=True)))
+
+
+def with_supply(inst: ValidatedInstance, supply: float) -> ValidatedInstance:
+    """`inst` with its supply replaced by `supply`, validated as
+    `validate_instance` validates a supply; the player orders are kept."""
+    (sup,) = _as_floats("supply", [supply])
+    return ValidatedInstance(inst.values, inst.budgets, sup, inst.value_order,
+                             inst.budget_order)
 
 
 class Outcome(Record):

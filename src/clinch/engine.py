@@ -27,6 +27,16 @@ from the previous event's only at the clinchers after it and at its own
 players (a clincher leaves only by exiting, and an exit's receivers join),
 and every other entry is the same float object: `clinch trace` re-encodes
 just those entries.
+
+Beyond which values are positive, a run reads the values only through
+the lowest active value (the next exit) and the players that share it.
+So a positive misreport r changes nothing while the lowest active value
+is below r: up to the first round where it reaches r, a run with the
+report and a run with any larger one do the same floating-point
+operations.  `solve_misreports` uses this: it runs the largest report
+once and, at that round for each smaller r, forks the live run
+(`_Run.fork`) with r's values and value order and runs the tail, which
+gives `solve`'s outcome for r bit for bit.
 """
 from __future__ import annotations
 
@@ -90,7 +100,7 @@ class _Run:
     __slots__ = ("values", "b0", "emit", "zeros", "n", "x", "B", "S", "p",
                  "active", "clinching", "G", "bstar", "n_out", "rest", "rest_err",
                  "value_order", "budget_order", "low", "top", "bottom", "b0_max",
-                 "notes")
+                 "rounds", "notes")
 
     def __init__(self, inst: ValidatedInstance, emit=None):
         self.values = inst.values
@@ -118,7 +128,24 @@ class _Run:
         self.top = 0            # budget_order index of the largest outsider
         self.bottom = self.n - 1  # budget_order index of the smallest outsider
         self.b0_max = max(self.b0)
+        self.rounds = 0         # events processed, for the divergence guard
         self.notes: list[str] = []
+
+    def fork(self, inst: ValidatedInstance) -> _Run:
+        """A copy of this live run that goes on with `inst`'s values and
+        value order; it runs as a fresh run of `inst` would when the two
+        differ only in values above every exit price so far.
+
+        The mutable state is copied and the exit pointer starts again from
+        the front of `inst`'s value order (everything it passes is inactive).
+        """
+        twin = _Run.__new__(_Run)
+        for name in _Run.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin.x, twin.B, twin.notes = list(self.x), list(self.B), list(self.notes)
+        twin.active, twin.clinching = set(self.active), dict(self.clinching)
+        twin.values, twin.value_order, twin.low = inst.values, inst.value_order, 0
+        return twin
 
     def sync(self) -> None:
         """Write the clinchers' allocations and budgets back to x and B."""
@@ -361,20 +388,23 @@ class _Run:
                 self.emit(Event(EVENT_EXIT, v, (j,), self.row(dx), self.row(dpay),
                                 self.snap(v)))
 
+    def step(self) -> None:
+        """Process the next event; needs an active player and supply left."""
+        self.rounds += 1
+        if self.rounds > 4 * self.n + 16:
+            raise NumericalDivergence("event loop failed to terminate")
+        price, kind = self.next_event()
+        if kind == EVENT_EXIT:
+            self.do_exit(price)
+        elif price <= self.p:
+            raise NumericalDivergence(
+                f"entry price {price} does not advance past {self.p}")
+        else:
+            self.do_entry(price)
+
     def run(self) -> None:
-        rounds = 0
         while self.active and self.S > SUPPLY_FLOOR:
-            rounds += 1
-            if rounds > 4 * self.n + 16:
-                raise NumericalDivergence("event loop failed to terminate")
-            price, kind = self.next_event()
-            if kind == EVENT_EXIT:
-                self.do_exit(price)
-            elif price <= self.p:
-                raise NumericalDivergence(
-                    f"entry price {price} does not advance past {self.p}")
-            else:
-                self.do_entry(price)
+            self.step()
         if not self.active and self.S > SUPPLY_FLOOR:
             self.notes.append(f"unsold supply discarded: {self.S:.17g}")
 
@@ -412,6 +442,58 @@ def solve(inst) -> Outcome:
     return _execute(inst).outcome()
 
 
+def misreport(inst: ValidatedInstance, player: int, report: float) -> ValidatedInstance:
+    """`inst` with the player's value replaced by `report`, which must be
+    finite and non-negative: only the value order changes, sorted stably as
+    `validate_instance` sorts it."""
+    vals = list(inst.values)
+    vals[player] = report
+    vals = tuple(vals)
+    return ValidatedInstance(vals, inst.budgets, inst.supply,
+                             tuple(sorted(range(len(vals)), key=vals.__getitem__)),
+                             inst.budget_order)
+
+
+def solve_misreports(inst, player: int, reports) -> list[Outcome]:
+    """`solve(misreport(inst, player, r))` for each r in `reports`, bit for bit.
+
+    One run goes up with the player reporting the largest report.  A report
+    r leaves the run unchanged while the lowest active value is below r, so
+    at the first round where it reaches r the live run forks (`_Run.fork`)
+    and the fork finishes the auction with r.  A report the run never
+    reaches before it ends takes its outcome.  A report that is not
+    positive, or any report when there is one player, is solved on its own.
+    """
+    vinst = _ensure_validated(inst)
+    out: list = [None] * len(reports)
+    sweep = []
+    for k, r in enumerate(reports):
+        if r > 0.0 and vinst.n > 1:
+            sweep.append(k)
+        else:
+            out[k] = _execute(misreport(vinst, player, r)).outcome()
+    if not sweep:
+        return out
+    sweep.sort(key=reports.__getitem__)
+    run = _Run(misreport(vinst, player, reports[sweep[-1]]))
+    j, last, forked = 0, None, None
+    while run.active and run.S > SUPPLY_FLOOR:
+        v = run.lowest_value()
+        while j < len(sweep) and reports[sweep[j]] <= v:
+            r = reports[sweep[j]]
+            if r != last:
+                twin = run.fork(misreport(vinst, player, r))
+                twin.run()
+                last, forked = r, twin.outcome()
+            out[sweep[j]] = forked
+            j += 1
+        run.step()
+    top = run.outcome()
+    for k in sweep[j:]:
+        out[k] = top
+    return out
+
+
 def run_trace(inst, on_event) -> tuple[PriceState, Outcome, tuple[str, ...]]:
     """Run the auction, handing each `Event` to `on_event` as it happens.
 
@@ -432,6 +514,29 @@ def trace(inst) -> EventTrace:
                       final, outcome, notes)
 
 
+def _exit_guard(state: PriceState, p_new: float) -> None:
+    """`evolve`'s check that p_new does not pass the next exit."""
+    if state.active:
+        v_next = min(map(state.values.__getitem__, state.active))
+        if p_new > v_next and p_new > v_next + tol(v_next):
+            raise EventSkipped(f"price {p_new} passes the exit at {v_next}")
+
+
+def _entry_guard(state: PriceState, budgets) -> None:
+    """`evolve`'s check that the clinchers' budgets, evolved to `budgets`,
+    did not fall below an outsider's."""
+    if not state.clinching:
+        return
+    outsiders = state.active - state.clinching
+    if outsiders:
+        m = max(map(budgets.__getitem__, outsiders))
+        bstar = max(map(budgets.__getitem__, state.clinching))
+        if bstar < m and not close(bstar, m):
+            raise EventSkipped(
+                f"clinching budgets fell below an outsider budget inside the step "
+                f"({bstar} < {m}): an entry event was skipped")
+
+
 def evolve(state: PriceState, p_new: float) -> PriceState:
     """Evolve the snapshot along the closed form to price p_new.
 
@@ -440,10 +545,7 @@ def evolve(state: PriceState, p_new: float) -> PriceState:
     """
     if p_new < state.price:
         raise ValueError(f"cannot evolve backwards: {p_new} < {state.price}")
-    if state.active:
-        v_next = min(state.values[i] for i in state.active)
-        if p_new > v_next + tol(v_next):
-            raise EventSkipped(f"price {p_new} passes the exit at {v_next}")
+    _exit_guard(state, p_new)
     x, B = list(state.allocation), list(state.budgets)
     S, k = state.supply, len(state.clinching)
     if k and p_new != state.price:
@@ -453,14 +555,7 @@ def evolve(state: PriceState, p_new: float) -> PriceState:
             B[i] += db
     out = PriceState(p_new, tuple(x), tuple(B), S, state.active,
                      state.clinching, state.values)
-    outsiders = state.active - state.clinching
-    if state.clinching and outsiders:
-        m = max(B[i] for i in outsiders)
-        bstar = max(B[i] for i in state.clinching)
-        if bstar < m and not close(bstar, m):
-            raise EventSkipped(
-                f"clinching budgets fell below an outsider budget inside the step "
-                f"({bstar} < {m}): an entry event was skipped")
+    _entry_guard(state, B)
     return out
 
 
@@ -473,11 +568,17 @@ def wishful_allocation(state: PriceState) -> tuple[float, ...]:
 
 
 def initial_state(inst) -> PriceState:
-    """The process state at price 0: nothing allocated, budgets intact."""
-    vinst = _ensure_validated(inst)
-    active = frozenset(i for i in range(vinst.n) if vinst.values[i] > 0.0)
-    return PriceState(0.0, (0.0,) * vinst.n, vinst.budgets, vinst.supply,
-                      active, frozenset(), vinst.values)
+    """The process state at price 0: nothing allocated, budgets intact.
+
+    A `ValidatedInstance` or an `EventTrace` is read as it is, since its
+    fields are validated already; anything else is validated first.
+    """
+    if not isinstance(inst, (ValidatedInstance, EventTrace)):
+        inst = validate_instance(inst)
+    values = inst.values
+    active = frozenset(i for i in range(len(values)) if values[i] > 0.0)
+    return PriceState(0.0, (0.0,) * len(values), inst.budgets, inst.supply,
+                      active, frozenset(), values)
 
 
 def state_at(tr: EventTrace, p: float) -> PriceState:
@@ -488,3 +589,45 @@ def state_at(tr: EventTrace, p: float) -> PriceState:
     if k == len(tr.events):  # the run is over; the state stays frozen
         return replace(tr.final, price=p)
     return evolve(tr.events[k - 1].after if k else initial_state(tr), p)
+
+
+def wishful_rows(tr: EventTrace, prices) -> list[tuple[float, ...]]:
+    """`wishful_allocation(state_at(tr, p))` for each of the ascending,
+    positive `prices`, bit for bit, in one pass over the events.
+
+    Each stretch of prices between two events evolves the earlier event's
+    state with `evolve`'s arithmetic: a clincher holds x + gain and B + db,
+    then every player x + B/p.  `evolve`'s two guards are checked once per
+    stretch, at its highest price, since the price only rises along it and
+    B* only falls; so a trace that `state_at` refuses at some price raises
+    EventSkipped here too, perhaps naming another price.
+    """
+    events, end, rows = tr.events, len(prices), []
+    j = k = 0  # k counts the events at or below prices[j]
+    while j < end:
+        while k < len(events) and events[k].price <= prices[j]:
+            k += 1
+        if k == len(events):  # the run is over; the state stays frozen
+            x, B = tr.final.allocation, tr.final.budgets
+            rows += [tuple(xi + b / p for xi, b in zip(x, B)) for p in prices[j:]]
+            break
+        stop, after = j, events[k].price
+        while stop < end and prices[stop] < after:
+            stop += 1
+        st = events[k - 1].after if k else initial_state(tr)
+        p0, S, x, B, kc = st.price, st.supply, st.allocation, st.budgets, len(st.clinching)
+        _exit_guard(st, prices[stop - 1])
+        for p in prices[j:stop]:
+            row = [xi + b / p for xi, b in zip(x, B)]
+            if kc and p != p0:
+                _, gain, db = _segment(p0, p, S, kc)
+                for i in st.clinching:
+                    row[i] = (x[i] + gain) + (B[i] + db) / p
+            rows.append(tuple(row))
+        if kc and prices[stop - 1] != p0:  # the budgets at the stretch's top price
+            B = list(B)
+            for i in st.clinching:
+                B[i] += db
+        _entry_guard(st, B)
+        j = stop
+    return rows

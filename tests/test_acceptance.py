@@ -20,8 +20,8 @@ from clinch.checks import (
     random_instances,
     stratified_two_player,
     property_corpus,
-    verify_trace,
 )
+from clinch.invariants import verify_trace
 from clinch.oracle import solve_euler
 from clinch.stream import SupplyStream
 from clinch.two_player import solve_n2

@@ -119,6 +119,25 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+class TestOverflowingBudgets:
+    """Two finite budgets whose sum is not: one `error:` line and exit 2."""
+
+    @pytest.mark.parametrize("command", ["solve", "trace", "stream"])
+    def test_is_usage_error(self, capsys, tmp_path, monkeypatch, command):
+        path = tmp_path / "rich.json"
+        path.write_text('{"values": [1, 1], "budgets": [1e308, 1e308], "supply": 1}')
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"supply": 1}\n'))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: budgets sum to more than the largest double\n"
+
+    def test_a_corpus_of_such_budgets_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "--property", "ir", "--corpus",
+                             "count=1,nmin=2,nmax=2,bmin=9e307,bmax=1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: budgets sum to more than the largest double\n"
+
+
 def _run_script(lines: list[str], *argv: str) -> subprocess.CompletedProcess:
     """Run a script in a fresh interpreter with this package on the path."""
     src = str(Path(clinch.__file__).resolve().parents[1])
@@ -180,6 +199,17 @@ class TestImports:
             "        assert mod not in sys.modules, f'check --property {prop} loaded {mod}'",
             "assert check('pareto') == 0 and check('oracle') == 0",
             "assert 'numpy' in sys.modules and 'clinch.oracle' in sys.modules",
+        ])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_check_loads_the_trace_invariants(self):
+        proc = _run_script([
+            "import contextlib, io, sys",
+            "import clinch.cli",
+            "for prop in ('ic', 'ir', 'budget', 'pareto', 'monotone', 'oracle'):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert clinch.cli.main(['check', '--property', prop, '--corpus', 'count=1']) == 0",
+            "    assert 'clinch.invariants' not in sys.modules, f'check --property {prop} loaded it'",
         ])
         assert proc.returncode == 0, proc.stderr
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from clinch import cli, core, engine, rowtext, two_player
-from clinch.checks import TRACE_REL, check_price_state, stratified_two_player
+from clinch.checks import stratified_two_player
 from clinch.core import (
     AuctionError,
     EmptyInstance,
@@ -28,6 +28,7 @@ from clinch.core import (
     validate_instance,
 )
 from clinch.engine import initial_state
+from clinch.invariants import TRACE_REL, check_price_state
 
 from conftest import instances
 
@@ -61,6 +62,22 @@ class TestValidation:
             validate_instance(values=[1, math.inf], budgets=[1, 1], supply=1)
         with pytest.raises(NonFinite):
             validate_instance(values=[1, 2], budgets=[math.nan, 1], supply=1)
+
+    def test_budgets_whose_sum_overflows_rejected(self):
+        # each budget is finite, but the engine sums them
+        with pytest.raises(NonFinite, match="budgets sum to more than the largest double"):
+            validate_instance(values=[1, 1], budgets=[1e308, 1e308], supply=1)
+        inst = validate_instance(values=[1, 1], budgets=[1e308, 7e307], supply=1)
+        assert inst.budgets == (1e308, 7e307)
+
+    def test_with_supply_validates_only_the_supply(self):
+        inst = validate_instance(values=[2, 1, 2], budgets=[1, 3, 1], supply=1)
+        assert core.with_supply(inst, 4) == validate_instance(
+            values=inst.values, budgets=inst.budgets, supply=4)
+        with pytest.raises(NegativeEntry, match="supply"):
+            core.with_supply(inst, -1.0)
+        with pytest.raises(NonFinite, match="supply"):
+            core.with_supply(inst, math.inf)
 
     def test_length_mismatch_and_empty(self):
         with pytest.raises(LengthMismatch):

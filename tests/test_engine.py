@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,20 +13,25 @@ from clinch.core import (
     ZeroPrice,
     replace,
 )
+from clinch import engine
+from clinch.checks import CorpusSpec, misreport_grid, random_instances
 from clinch.engine import (
     evolve,
     initial_state,
+    misreport,
     run_trace,
     solve,
+    solve_misreports,
     state_at,
     trace,
     wishful_allocation,
+    wishful_rows,
 )
-from clinch.checks import verify_trace
+from clinch.invariants import verify_trace
 from clinch.core import validate_instance
 
 from conftest import instances, outcome_close
-from test_engine_reference import CORPORA
+from test_engine_reference import CORPORA, _degenerate
 
 SHOWCASE = validate_instance(values=[9, 10, 11, 5.7], budgets=[3, 2, 1, 0.5],
                              supply=1)
@@ -307,6 +313,104 @@ class TestStateAt:
     def test_negative_price_raises(self):
         with pytest.raises(ValueError):
             state_at(trace(self.TIED), -1.0)
+
+
+class TestInitialState:
+    def test_a_trace_gives_the_state_of_its_instance_without_validation(
+            self, monkeypatch):
+        cases = [SHOWCASE, TestStateAt.TIED, *_degenerate(3, 40)]
+        traces = [trace(inst) for inst in cases]
+        want = [initial_state(inst) for inst in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validated a trace")
+
+        monkeypatch.setattr(engine, "validate_instance", refuse)
+        assert [initial_state(tr) for tr in traces] == want
+
+
+def _solve_each(inst, player, reports) -> list:
+    return [solve(misreport(inst, player, r)) for r in reports]
+
+
+def _sweeps_match(inst, reports) -> bool:
+    """Whether every player's sweep equals solving each report alone; an
+    instance where some report raises is skipped, as False."""
+    want = []
+    try:
+        for i in range(inst.n):
+            want.append(_solve_each(inst, i, reports(inst, i)))
+    except AuctionError:
+        return False
+    for i, outs in enumerate(want):
+        assert solve_misreports(inst, i, reports(inst, i)) == outs, (inst, i)
+    return True
+
+
+class TestSolveMisreports:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_property_corpus(self, n):
+        corpus = random_instances(CorpusSpec(count=12, n_min=n, n_max=n, seed=n))
+        grid = lambda inst, i: misreport_grid(inst, i, 50)
+        assert all(_sweeps_match(inst, grid) for inst in corpus)
+
+    def test_cent_grid_reports_land_on_opponent_values(self):
+        rng = random.Random(4)
+        corpus = [validate_instance(values=[rng.randint(1, 60) / 20 for _ in range(n)],
+                                    budgets=[rng.randint(1, 60) / 20 for _ in range(n)],
+                                    supply=rng.randint(1, 60) / 20)
+                  for n in [2, 3, 4, 5, 6] * 8]
+        cents = lambda inst, i: [k / 20 for k in range(0, 70)][::-1]  # descending too
+        assert sum(_sweeps_match(inst, cents) for inst in corpus) >= 35
+
+    def test_exact_zero_values_and_budgets(self):
+        corpus = _degenerate(7, 300)
+        reports = lambda inst, i: [0.0, 1.0, 2.0, 2.0, 2.5, 3.0, 0.5, 4.0, 1e-300]
+        assert sum(_sweeps_match(inst, reports) for inst in corpus) >= 250
+
+    def test_positive_reports_fork_one_run(self, monkeypatch):
+        # no positive report is solved on its own
+        inst = random_instances(CorpusSpec(count=1, n_min=8, n_max=8, seed=2))[0]
+        grid = [r for r in misreport_grid(inst, 3, 50) if r > 0.0]
+        want = _solve_each(inst, 3, grid)
+        monkeypatch.setattr(engine, "_execute", None)
+        assert solve_misreports(inst, 3, grid) == want
+
+
+class TestWishfulRows:
+    @pytest.mark.parametrize("name", ["property-3", "cent-grid", "degenerate"])
+    def test_equal_to_the_state_at_composition(self, name):
+        corpus = CORPORA[name]()[:150]
+        checked = 0
+        for inst in corpus:
+            try:
+                tr, other = trace(inst), trace(replace(inst, supply=inst.supply * 0.6))
+            except AuctionError:
+                continue
+            prices = sorted({ev.price for ev in tr.events + other.events if ev.price > 0.0}
+                            | {inst.supply + 20.0, 1e-3})
+            assert wishful_rows(tr, prices) == [wishful_allocation(state_at(tr, p))
+                                                for p in prices], inst
+            checked += 1
+        assert checked >= 100
+
+    # SHOWCASE: entries at 3.5 and 4.66, exits at 5.7 and 9.  Without the
+    # second entry, B* falls below player 1's budget; without the exit at
+    # 5.7, also the price passes player 3's value.  FLAT: exits at 1, 5 and
+    # 6, with no clinchers before 5, so only the exit guard sees the gap.
+    FLAT = validate_instance(values=[1, 5, 6, 7], budgets=[1, 3, 3, 3], supply=1)
+
+    @pytest.mark.parametrize("name, drop", [("SHOWCASE", 1), ("SHOWCASE", 2),
+                                            ("FLAT", 1)])
+    def test_a_trace_state_at_refuses_is_refused(self, name, drop):
+        tr = trace(self.FLAT if name == "FLAT" else SHOWCASE)
+        events = [ev.price for ev in tr.events]
+        prices = sorted(events + [(a + b) / 2 for a, b in zip(events, events[1:])])
+        broken = replace(tr, events=tr.events[:drop] + tr.events[drop + 1:])
+        with pytest.raises(EventSkipped):
+            [state_at(broken, p) for p in prices]
+        with pytest.raises(EventSkipped):
+            wishful_rows(broken, prices)
 
 
 class TestWishfulAllocation:

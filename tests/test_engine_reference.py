@@ -20,9 +20,9 @@ from clinch.checks import (
     property_corpus,
     random_instances,
     stratified_two_player,
-    verify_trace,
 )
 from clinch.core import AuctionError, validate_instance
+from clinch.invariants import verify_trace
 
 RTOL = 1e-11
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from clinch import checks
+from clinch import invariants
 from clinch.checks import (
     CorpusSpec,
     oracle_corpus,
@@ -127,4 +127,4 @@ def test_stratified_two_player_is_numpys():
 
 
 def test_interior_prices_are_numpys_linspace():
-    assert checks._INTERIOR == np.linspace(0.15, 0.85, 5).tolist()
+    assert invariants._INTERIOR == np.linspace(0.15, 0.85, 5).tolist()

@@ -16,7 +16,7 @@ from clinch.core import (
 )
 from clinch.engine import solve
 from clinch.stream import SupplyStream
-from clinch.checks import myerson_gap
+from clinch.invariants import myerson_gap
 
 from conftest import instances
 
